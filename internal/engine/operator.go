@@ -368,9 +368,13 @@ type tributaryOp struct {
 	mode   ljoin.SeekMode
 	sch    rel.Schema
 
-	// In-memory path.
-	results []rel.Tuple
-	pos     int
+	// In-memory path: the result rows, appended flat to one arena per
+	// (sub-)join in range order, and handed out as row views. part and
+	// row locate the next row; left counts the rows not yet handed out.
+	results []ljoin.Rows
+	part    int
+	row     int
+	left    int
 	// Spilled path.
 	stream spill.Stream
 }
@@ -427,26 +431,17 @@ func (o *tributaryOp) open() error {
 		runErr = o.joinParallel(shards)
 		seeks = shardSeeks(shards)
 	} else {
-		var produced int
-		runErr = p.Run(func(t rel.Tuple) bool {
-			if o.t.ex.charge(o.t.worker, 1, "tributary") != nil {
-				return false // stop early; memErr below reports the budget breach
-			}
-			// This enumeration can produce a worst-case-size result with no
-			// other cancellation point, so poll the run context periodically —
-			// deadlines, client cancels, and Close must not wait for it.
-			if produced++; produced&0x1fff == 0 && o.t.ex.ctx.Err() != nil {
-				return false
-			}
-			o.results = append(o.results, t.Clone())
-			return true
-		})
+		o.results = make([]ljoin.Rows, 1)
+		runErr = o.collect(p, &o.results[0])
 		seeks = p.Stats().Seeks
+	}
+	for _, r := range o.results {
+		o.left += r.N
 	}
 	joinDur := time.Since(joinStart)
 	o.t.ex.metrics.addJoin(o.t.worker, joinDur)
 	o.t.ex.metrics.addSeeks(o.t.worker, seeks)
-	o.emitPhase("join", joinDur, int64(len(o.results)))
+	o.emitPhase("join", joinDur, int64(o.left))
 	if runErr != nil {
 		return runErr
 	}
@@ -454,6 +449,25 @@ func (o *tributaryOp) open() error {
 		return err
 	}
 	return o.t.ex.memErr(o.t.worker)
+}
+
+// collect runs one in-memory (sub-)join, appending its rows to res. Rows
+// are charged to the worker's tuple budget one by one, as a row-per-tuple
+// result would be.
+func (o *tributaryOp) collect(p *ljoin.Prepared, res *ljoin.Rows) error {
+	e := o.t.ex
+	res.Arity = len(o.sch)
+	return p.Run(func(t rel.Tuple) bool {
+		if e.charge(o.t.worker, 1, "tributary") != nil {
+			return false // stop early; memErr reports the budget breach
+		}
+		res.Data = append(res.Data, t...)
+		res.N++
+		// This enumeration can produce a worst-case-size result with no
+		// other cancellation point, so poll the run context periodically —
+		// deadlines, client cancels, and Close must not wait for it.
+		return res.N&0x1fff != 0 || e.ctx.Err() == nil
+	})
 }
 
 // openSpilled is the bounded-memory open: each input streams through its
@@ -477,7 +491,7 @@ func (o *tributaryOp) openSpilled() error {
 
 	var inputTuples int64
 	sortStart := time.Now()
-	rels := make(map[string]*rel.Relation, len(o.inputs))
+	rels := make(map[string]ljoin.Rows, len(o.inputs))
 	for _, alias := range aliases {
 		in := o.inputs[alias]
 		atom, ok := atoms[alias]
@@ -493,7 +507,7 @@ func (o *tributaryOp) openSpilled() error {
 				atom, len(atom.Terms), alias, len(sch))
 		}
 		norm := ljoin.NewNormalizer(atom, o.order)
-		r := &rel.Relation{Name: alias, Schema: norm.Schema().Clone()}
+		r := ljoin.Rows{Arity: norm.Arity()}
 		if norm.Arity() == 0 {
 			// Fully-constant atom: only existence matters, nothing is
 			// materialized.
@@ -514,7 +528,7 @@ func (o *tributaryOp) openSpilled() error {
 				}
 			}
 			if exists {
-				r.Tuples = []rel.Tuple{{}}
+				r.N = 1
 			}
 		} else {
 			sorter := spill.NewSorter(e.spillConfig(o.t.worker, norm.Arity(), "sort("+alias+")"))
@@ -545,9 +559,10 @@ func (o *tributaryOp) openSpilled() error {
 			// spilled part was charged to the disk cap when sealed; the
 			// read-back is modeled as a disk-backed index, so it is not
 			// re-charged to the tuple budget.
-			if r.Tuples, err = spill.Drain(stream); err != nil {
+			if r.Data, err = spill.DrainFlat(stream, r.Arity); err != nil {
 				return err
 			}
+			r.N = len(r.Data) / r.Arity
 		}
 		if err := in.close(); err != nil {
 			return err
@@ -584,8 +599,9 @@ func (o *tributaryOp) openSpilled() error {
 	buf := spill.NewBuffer(e.spillConfig(o.t.worker, len(o.sch), "tributary"))
 	var addErr error
 	var produced int
+	var rows rowChunks
 	runErr := p.Run(func(t rel.Tuple) bool {
-		if addErr = buf.Add(t.Clone()); addErr != nil {
+		if addErr = buf.Add(rows.copy(t)); addErr != nil {
 			return false
 		}
 		if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
@@ -646,16 +662,39 @@ func (o *tributaryOp) next() ([]rel.Tuple, error) {
 		}
 		return b, nil
 	}
-	if o.pos >= len(o.results) {
+	if o.left == 0 {
 		return nil, io.EOF
 	}
-	end := o.pos + o.t.ex.batchSize
-	if end > len(o.results) {
-		end = len(o.results)
+	b := make([]rel.Tuple, 0, min(o.t.ex.batchSize, o.left))
+	for len(b) < cap(b) {
+		res := &o.results[o.part]
+		if o.row == res.N {
+			o.part, o.row = o.part+1, 0
+			continue
+		}
+		b = append(b, res.Row(o.row))
+		o.row++
 	}
-	b := o.results[o.pos:end]
-	o.pos = end
+	o.left -= len(b)
 	return b, nil
+}
+
+// rowChunks copies rows into shared fixed-size chunks, so a producer whose
+// consumer keeps each row (the spillable buffer) pays one allocation per
+// chunk rather than one per row. A chunk stays reachable while any of its
+// rows does.
+type rowChunks struct{ chunk []int64 }
+
+// rowChunkRows is the number of rows carved from one chunk.
+const rowChunkRows = 256
+
+func (c *rowChunks) copy(t rel.Tuple) rel.Tuple {
+	if len(c.chunk)+len(t) > cap(c.chunk) {
+		c.chunk = make([]int64, 0, rowChunkRows*len(t))
+	}
+	n := len(c.chunk)
+	c.chunk = append(c.chunk, t...)
+	return c.chunk[n:len(c.chunk):len(c.chunk)]
 }
 
 func (o *tributaryOp) close() error {

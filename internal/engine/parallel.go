@@ -103,36 +103,17 @@ func (o *tributaryOp) runPool(n int, task func(i int) (int64, error)) error {
 	return nil
 }
 
-// joinParallel runs the in-memory sub-joins and concatenates their outputs
-// in range order into o.results. Each sub-range appends to its own slice
-// (no shared mutable state beyond the lock-free accountant), so charging,
-// context polling, and row cloning match the serial emit exactly.
+// joinParallel runs the in-memory sub-joins, each appending to its own
+// result arena in o.results, kept in range order so next() hands rows out
+// in the serial path's sequence. No mutable state is shared beyond the
+// lock-free accountant, so charging and context polling match the serial
+// emit exactly.
 func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) error {
-	e := o.t.ex
-	results := make([][]rel.Tuple, len(shards))
-	err := o.runPool(len(shards), func(i int) (int64, error) {
-		var produced int
-		runErr := shards[i].Run(func(t rel.Tuple) bool {
-			if e.charge(o.t.worker, 1, "tributary") != nil {
-				return false // stop early; memErr reports the budget breach
-			}
-			if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {
-				return false
-			}
-			results[i] = append(results[i], t.Clone())
-			return true
-		})
-		return int64(len(results[i])), runErr
+	o.results = make([]ljoin.Rows, len(shards))
+	return o.runPool(len(shards), func(i int) (int64, error) {
+		err := o.collect(shards[i], &o.results[i])
+		return int64(o.results[i].N), err
 	})
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	o.results = make([]rel.Tuple, 0, total)
-	for _, r := range results {
-		o.results = append(o.results, r...)
-	}
-	return err
 }
 
 // joinParallelSpilled is joinParallel for the bounded-memory path: each
@@ -148,8 +129,9 @@ func (o *tributaryOp) joinParallelSpilled(shards []*ljoin.Prepared) (spill.Strea
 		bufs[i] = buf
 		var addErr error
 		var produced int
+		var rows rowChunks
 		runErr := shards[i].Run(func(t rel.Tuple) bool {
-			if addErr = buf.Add(t.Clone()); addErr != nil {
+			if addErr = buf.Add(rows.copy(t)); addErr != nil {
 				return false
 			}
 			if produced++; produced&0x1fff == 0 && e.ctx.Err() != nil {

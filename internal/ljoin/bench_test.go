@@ -54,9 +54,11 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 	mk := func(seed int64) *arrayTrie {
 		r := randGraph("A", 30000, 40000, seed).Project("A", []int{0})
 		r.Dedup()
-		return newArrayTrie(r.Tuples, 1, SeekBinary)
+		return newArrayTrie(flatRows(r).Data, 1, SeekBinary)
 	}
 	t1, t2, t3 := mk(206), mk(207), mk(208)
+	lf := leapfrog{iters: make([]TrieIterator, 3)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Rebuild cursors cheaply by reopening at the root.
@@ -64,7 +66,7 @@ func BenchmarkLeapfrogIntersection(b *testing.B) {
 		t1.Open()
 		t2.Open()
 		t3.Open()
-		lf := leapfrog{iters: []TrieIterator{t1, t2, t3}}
+		lf.iters[0], lf.iters[1], lf.iters[2] = t1, t2, t3
 		lf.init()
 		n := 0
 		for !lf.atEnd {

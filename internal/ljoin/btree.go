@@ -1,6 +1,8 @@
 package ljoin
 
 import (
+	"math"
+
 	"parajoin/internal/rel"
 )
 
@@ -181,36 +183,42 @@ type btreeTrie struct {
 	tree   *btree
 	depth  int
 	prefix rel.Tuple // prefix[0..depth] = current keys per level
+	key    rel.Tuple // search-key scratch shared by every probe
 	end    []bool
 	seeks  int64
 }
 
-// newBTreeTrie indexes the relation's tuples (already normalized to the
-// variable order) into a B-tree and returns the iterator.
-func newBTreeTrie(tuples []rel.Tuple, arity int) *btreeTrie {
-	t := newBTree(arity)
-	for _, tp := range tuples {
-		t.insert(tp)
+// newBTreeTrie indexes the relation's rows (already normalized to the
+// variable order) into a B-tree and returns the iterator. The tree holds
+// row views into rows.Data.
+func newBTreeTrie(rows Rows) *btreeTrie {
+	t := newBTree(rows.Arity)
+	for i := 0; i < rows.N; i++ {
+		t.insert(rows.Row(i))
 	}
 	return &btreeTrie{
 		tree:   t,
 		depth:  -1,
-		prefix: make(rel.Tuple, arity),
-		end:    make([]bool, arity),
+		prefix: make(rel.Tuple, rows.Arity),
+		key:    make(rel.Tuple, rows.Arity),
+		end:    make([]bool, rows.Arity),
 	}
+}
+
+// probe returns the first tuple whose first d+1 columns are ≥ the current
+// prefix at levels 0..d-1 followed by v, or nil.
+func (b *btreeTrie) probe(d int, v int64) rel.Tuple {
+	copy(b.key, b.prefix[:d])
+	b.key[d] = v
+	b.seeks++
+	return b.tree.seekGE(b.key, d+1)
 }
 
 func (b *btreeTrie) Open() {
 	d := b.depth + 1
 	b.depth = d
 	// First key at the new level: smallest tuple extending the prefix.
-	key := make(rel.Tuple, b.tree.arity)
-	copy(key, b.prefix[:d])
-	for i := d; i < len(key); i++ {
-		key[i] = -1 << 63
-	}
-	b.seeks++
-	got := b.tree.seekGE(key, d+1)
+	got := b.probe(d, math.MinInt64)
 	if got == nil || comparePrefix(got, b.prefix, d) != 0 {
 		b.end[d] = true
 		return
@@ -234,14 +242,7 @@ func (b *btreeTrie) SeekGE(v int64) {
 	if b.end[d] || b.prefix[d] >= v {
 		return
 	}
-	key := make(rel.Tuple, b.tree.arity)
-	copy(key, b.prefix[:d])
-	key[d] = v
-	for i := d + 1; i < len(key); i++ {
-		key[i] = -1 << 63
-	}
-	b.seeks++
-	got := b.tree.seekGE(key, d+1)
+	got := b.probe(d, v)
 	if got == nil || comparePrefix(got, b.prefix, d) != 0 {
 		b.end[d] = true
 		return

@@ -65,8 +65,8 @@ func TestBTreeTrieMatchesArrayTrie(t *testing.T) {
 		r.AppendRow(rng.Int63n(30), rng.Int63n(30))
 	}
 	r.Dedup()
-	arr := newArrayTrie(r.Tuples, 2, SeekBinary)
-	bt := newBTreeTrie(r.Tuples, 2)
+	arr := newArrayTrie(flatRows(r).Data, 2, SeekBinary)
+	bt := newBTreeTrie(flatRows(r))
 
 	// Walk level 0 keys, descending into every subtree, on both iterators.
 	var walkBoth func(depth int)
@@ -101,7 +101,7 @@ func TestBTreeTrieSeek(t *testing.T) {
 	for _, v := range []int64{1, 3, 4, 5, 6, 7, 8, 9, 11} {
 		r.AppendRow(v)
 	}
-	bt := newBTreeTrie(r.Tuples, 1)
+	bt := newBTreeTrie(flatRows(r))
 	bt.Open()
 	bt.SeekGE(5)
 	if bt.AtEnd() || bt.Key() != 5 {

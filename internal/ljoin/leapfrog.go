@@ -1,7 +1,5 @@
 package ljoin
 
-import "sort"
-
 // leapfrog intersects the current level of several trie iterators: it
 // enumerates, in increasing order, the values present in all of them. This
 // is the unary "leapfrog join" the multiway Tributary join is built from.
@@ -21,7 +19,15 @@ func (l *leapfrog) init() {
 			return
 		}
 	}
-	sort.Slice(l.iters, func(i, j int) bool { return l.iters[i].Key() < l.iters[j].Key() })
+	// Order the iterators by key. There are at most a handful, so an
+	// insertion sort — stable, and allocation-free unlike sort.Slice —
+	// is the right tool.
+	its := l.iters
+	for i := 1; i < len(its); i++ {
+		for j := i; j > 0 && its[j].Key() < its[j-1].Key(); j-- {
+			its[j], its[j-1] = its[j-1], its[j]
+		}
+	}
 	l.p = 0
 	l.search()
 }

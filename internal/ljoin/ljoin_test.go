@@ -287,16 +287,29 @@ func TestNormalizeAtom(t *testing.T) {
 	r.AppendRow(10, 7, 20)
 	r.AppendRow(11, 8, 21)
 	r.AppendRow(12, 7, 22)
-	norm := NormalizeAtom(atom, r, []core.Var{"x", "y"})
-	if !norm.Schema.Equal(rel.Schema{"x", "y"}) {
-		t.Fatalf("schema = %v", norm.Schema)
+	order := []core.Var{"x", "y"}
+	if sch := NewNormalizer(atom, order).Schema(); !sch.Equal(rel.Schema{"x", "y"}) {
+		t.Fatalf("schema = %v", sch)
 	}
-	if norm.Cardinality() != 2 {
-		t.Fatalf("cardinality = %d, want 2", norm.Cardinality())
+	norm := NormalizeAtom(atom, r, order)
+	if norm.Arity != 2 || norm.N != 2 || len(norm.Data) != 4 {
+		t.Fatalf("arity %d, %d rows, %d values; want 2, 2, 4", norm.Arity, norm.N, len(norm.Data))
 	}
-	if !norm.Tuples[0].Equal(rel.Tuple{20, 10}) {
-		t.Fatalf("tuple 0 = %v", norm.Tuples[0])
+	if !norm.Row(0).Equal(rel.Tuple{20, 10}) || !norm.Row(1).Equal(rel.Tuple{22, 12}) {
+		t.Fatalf("rows = %v", norm.Data)
 	}
+	if cap(norm.Data) != len(norm.Data) {
+		t.Errorf("flat array has capacity %d for %d values; want it sized exactly", cap(norm.Data), len(norm.Data))
+	}
+}
+
+// flatRows lays a relation's tuples out as one strided array.
+func flatRows(r *rel.Relation) Rows {
+	out := Rows{Arity: r.Arity(), N: r.Cardinality()}
+	for _, t := range r.Tuples {
+		out.Data = append(out.Data, t...)
+	}
+	return out
 }
 
 // Property test: Tributary join agrees with the naive oracle on random
@@ -424,7 +437,7 @@ func TestLeapfrogUnary(t *testing.T) {
 			r.AppendRow(v)
 		}
 		r.Sort()
-		tr := newArrayTrie(r.Tuples, 1, SeekBinary)
+		tr := newArrayTrie(flatRows(r).Data, 1, SeekBinary)
 		tr.Open()
 		return tr
 	}
@@ -451,17 +464,43 @@ func TestLeapfrogUnary(t *testing.T) {
 }
 
 func TestGallopMatchesLowerBound(t *testing.T) {
-	r := rel.New("A", "v")
+	// A width-3 array sorted on all columns; both searches run on column
+	// 0 over the whole array and on column 1 within runs of equal column-0
+	// values, and must agree with a linear scan.
 	rng := rand.New(rand.NewSource(40))
+	const w = 3
+	data := make([]int64, 0, 500*w)
 	for i := 0; i < 500; i++ {
-		r.AppendRow(rng.Int63n(300))
+		data = append(data, rng.Int63n(40), rng.Int63n(300)-150, rng.Int63n(5))
 	}
-	r.Sort()
-	for v := int64(-5); v < 310; v += 3 {
-		lb := lowerBound(r.Tuples, 0, len(r.Tuples), 0, v)
-		gl := gallop(r.Tuples, 0, len(r.Tuples), 0, v)
-		if lb != gl {
-			t.Fatalf("v=%d: lowerBound %d, gallop %d", v, lb, gl)
+	rel.SortFlat(data, w)
+	n := len(data) / w
+	scan := func(lo, hi, col int, v int64) int {
+		for i := lo; i < hi; i++ {
+			if data[i*w+col] >= v {
+				return i
+			}
 		}
+		return hi
+	}
+	check := func(lo, hi, col int, v int64) {
+		t.Helper()
+		want := scan(lo, hi, col, v)
+		lb := lowerBound(data, w, lo, hi, col, v)
+		gl := gallop(data, w, lo, hi, col, v)
+		if lb != want || gl != want {
+			t.Fatalf("rows [%d,%d) col %d v=%d: lowerBound %d, gallop %d, scan %d", lo, hi, col, v, lb, gl, want)
+		}
+	}
+	for v := int64(-5); v < 45; v++ {
+		check(0, n, 0, v)
+		check(n/3, n, 0, v)
+	}
+	for lo := 0; lo < n; {
+		hi := scan(lo, n, 0, data[lo*w]+1)
+		for v := int64(-160); v < 160; v += 7 {
+			check(lo, hi, 1, v)
+		}
+		lo = hi
 	}
 }

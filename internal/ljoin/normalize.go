@@ -72,32 +72,77 @@ func (n *Normalizer) Arity() int { return len(n.srcs) }
 // Schema is the normalized schema: distinct variables in global order.
 func (n *Normalizer) Schema() rel.Schema { return n.schema }
 
-// Apply normalizes one tuple, reporting ok=false when the tuple violates
-// the atom's constraints. The returned tuple is freshly allocated.
-func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
+// keep reports whether t satisfies the atom's constant bindings and
+// repeated-variable equalities.
+func (n *Normalizer) keep(t rel.Tuple) bool {
 	for _, c := range n.checks {
 		want := c.c
 		if c.eq >= 0 {
 			want = t[c.eq]
 		}
 		if t[c.pos] != want {
-			return nil, false
+			return false
 		}
+	}
+	return true
+}
+
+// Apply normalizes one tuple, reporting ok=false when the tuple violates
+// the atom's constraints. The returned tuple is freshly allocated.
+func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
+	if !n.keep(t) {
+		return nil, false
 	}
 	return t.Project(n.srcs), true
 }
 
-// NormalizeAtom turns an atom's relation into the form Tributary join
-// consumes: rows violating the atom's constant bindings or repeated-variable
-// equalities are dropped, and the remaining columns are the atom's distinct
-// variables ordered by the global variable order.
-func NormalizeAtom(atom core.Atom, r *rel.Relation, order []core.Var) *rel.Relation {
-	n := NewNormalizer(atom, order)
-	out := &rel.Relation{Name: atom.Alias, Schema: n.Schema()}
-	for _, t := range r.Tuples {
-		if nt, ok := n.Apply(t); ok {
-			out.Tuples = append(out.Tuples, nt)
+// Flatten normalizes tuples straight into one arity-strided array,
+// allocated once at its final size: when the atom has constraints, a first
+// pass counts the rows that satisfy them.
+func (n *Normalizer) Flatten(tuples []rel.Tuple) Rows {
+	rows := len(tuples)
+	if len(n.checks) > 0 {
+		rows = 0
+		for _, t := range tuples {
+			if n.keep(t) {
+				rows++
+			}
 		}
 	}
-	return out
+	data := make([]int64, 0, rows*len(n.srcs))
+	for _, t := range tuples {
+		if len(n.checks) > 0 && !n.keep(t) {
+			continue
+		}
+		for _, s := range n.srcs {
+			data = append(data, t[s])
+		}
+	}
+	return Rows{Data: data, Arity: len(n.srcs), N: rows}
+}
+
+// NormalizeAtom turns an atom's relation into the form Tributary join
+// consumes: rows violating the atom's constant bindings or repeated-variable
+// equalities are dropped, and the remaining rows are laid out flat with the
+// atom's distinct variables as columns, ordered by the global variable
+// order (NewNormalizer(atom, order).Schema() names them).
+func NormalizeAtom(atom core.Atom, r *rel.Relation, order []core.Var) Rows {
+	return NewNormalizer(atom, order).Flatten(r.Tuples)
+}
+
+// Rows is a relation in the layout Tributary join runs on: one
+// arity-strided, row-major array, row i occupying
+// Data[i*Arity:(i+1)*Arity]. N counts the rows, which the data length
+// cannot do for arity 0 — a fully-constant atom, whose only information is
+// whether any row matched.
+type Rows struct {
+	Data  []int64
+	Arity int
+	N     int
+}
+
+// Row returns row i as a tuple view into Data. Its capacity ends with the
+// row, so appending to it cannot overwrite the next one.
+func (r Rows) Row(i int) rel.Tuple {
+	return rel.Tuple(r.Data[i*r.Arity : (i+1)*r.Arity : (i+1)*r.Arity])
 }

@@ -1,7 +1,5 @@
 package ljoin
 
-import "parajoin/internal/rel"
-
 // Range partitioning for intra-worker parallelism: a prepared Tributary
 // join splits into disjoint sub-joins over contiguous ranges of the first
 // global variable's domain. Because the serial join enumerates level-0
@@ -43,14 +41,14 @@ func (p *Prepared) Shards(k int) []*Prepared {
 	var pivot *arrayTrie
 	for _, ai := range p.byLevel[0] {
 		at := p.atoms[ai].trie.(*arrayTrie)
-		if pivot == nil || len(at.tuples) > len(pivot.tuples) {
+		if pivot == nil || at.n > pivot.n {
 			pivot = at
 		}
 	}
-	if len(pivot.tuples) == 0 {
+	if pivot.n == 0 {
 		return nil
 	}
-	cuts := cutValues(pivot.tuples, k)
+	cuts := cutValues(pivot.data, pivot.w, k)
 	if len(cuts) == 0 {
 		return nil
 	}
@@ -81,6 +79,7 @@ func (p *Prepared) Shards(k int) []*Prepared {
 				depth: a.depth,
 			}
 		}
+		s.initLevels()
 		shards = append(shards, s)
 	}
 	return shards
@@ -93,18 +92,19 @@ func (p *Prepared) Range() (lo int64, hasLo bool, hi int64, hasHi bool) {
 }
 
 // cutValues picks up to k-1 strictly increasing boundary values at the
-// index-proportional quantiles of a sorted array's first column. Duplicate
-// quantiles collapse (a value run longer than n/k yields fewer cuts), so
-// every resulting half-open range is non-empty on the pivot.
-func cutValues(tuples []rel.Tuple, k int) []int64 {
-	n := len(tuples)
+// index-proportional quantiles of the first column of a sorted width-w
+// array. Duplicate quantiles collapse (a value run longer than n/k yields
+// fewer cuts), so every resulting half-open range is non-empty on the
+// pivot.
+func cutValues(data []int64, w, k int) []int64 {
+	n := len(data) / w
 	if n == 0 {
 		return nil
 	}
 	var cuts []int64
-	first := tuples[0][0]
+	first := data[0]
 	for i := 1; i < k; i++ {
-		v := tuples[i*n/k][0]
+		v := data[(i*n/k)*w]
 		if v <= first || (len(cuts) > 0 && v <= cuts[len(cuts)-1]) {
 			continue
 		}

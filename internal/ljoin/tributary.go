@@ -12,7 +12,8 @@ import (
 // join implementing the Leapfrog Triejoin API over sorted arrays. All input
 // relations are sorted lexicographically under one global variable order;
 // the join then intersects the relations one variable at a time, descending
-// recursively into residual relations that are contiguous sub-arrays.
+// recursively into residual relations that are contiguous sub-arrays. Each
+// sorted array is a flat arity-strided []int64 (see Rows and arrayTrie).
 
 // Stats reports the work a Tributary join performed.
 type Stats struct {
@@ -33,8 +34,12 @@ type Prepared struct {
 	order []core.Var
 	mode  SeekMode
 
-	atoms            []*preparedAtom
-	byLevel          [][]int         // byLevel[d] = indexes of atoms whose trie includes level d's variable
+	atoms   []*preparedAtom
+	byLevel [][]int // byLevel[d] = indexes of atoms whose trie includes level d's variable
+	// levels[d] is level d's leapfrog, whose iterator slice is scratch
+	// refilled on every descent, so Run allocates nothing per trie node.
+	// It belongs to this Prepared's own tries: every shard gets its own.
+	levels           []leapfrog
 	filters          [][]core.Filter // filters that become checkable exactly at depth d
 	filterIx         [][][2]int      // per depth, per filter: operand positions in the binding (-1 = constant)
 	headIdx          []int           // binding positions of the head variables
@@ -68,13 +73,13 @@ type preparedAtom struct {
 // relations maps atom aliases to relations whose columns follow the atom's
 // term layout.
 func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (*rel.Relation, bool, error) {
+	return prepare(q, order, mode, func(atom core.Atom) (Rows, bool, error) {
 		r := relations[atom.Alias]
 		if r == nil {
-			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+			return Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
 		if len(r.Schema) != len(atom.Terms) {
-			return nil, false, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
+			return Rows{}, false, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
 				atom, len(atom.Terms), r.Name, len(r.Schema))
 		}
 		return NormalizeAtom(atom, r, order), false, nil
@@ -83,23 +88,25 @@ func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var
 
 // PrepareSorted is Prepare for inputs that are already normalized (each
 // relation's columns are its atom's distinct variables in global-order
-// position) and sorted. The spilled execution path uses it: tuples are
-// normalized with a Normalizer before the external sort, so by the time
-// they reach the trie builder both steps are done.
-func PrepareSorted(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (*rel.Relation, bool, error) {
-		r := relations[atom.Alias]
-		if r == nil {
-			return nil, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+// position), sorted and flat. The spilled execution path uses it: tuples
+// are normalized with a Normalizer before the external sort, and the
+// merged stream is drained straight into each atom's array, so by the time
+// they reach the trie builder all three steps are done. The join reads
+// the arrays in place; they must not change while it runs.
+func PrepareSorted(q *core.Query, relations map[string]Rows, order []core.Var, mode SeekMode) (*Prepared, error) {
+	return prepare(q, order, mode, func(atom core.Atom) (Rows, bool, error) {
+		r, ok := relations[atom.Alias]
+		if !ok {
+			return Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
 		return r, true, nil
 	})
 }
 
-// prepare builds a Prepared join, pulling each atom's relation from
-// supply, which also reports whether the relation is already sorted.
-// Supplied relations must be normalized (NormalizeAtom's output form).
-func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.Atom) (*rel.Relation, bool, error)) (*Prepared, error) {
+// prepare builds a Prepared join, pulling each atom's rows from supply,
+// which also reports whether they are already sorted. Supplied rows must
+// be normalized (NormalizeAtom's output form).
+func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.Atom) (Rows, bool, error)) (*Prepared, error) {
 	if err := checkOrder(q, order); err != nil {
 		return nil, err
 	}
@@ -116,9 +123,9 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 		if err != nil {
 			return nil, err
 		}
-		if norm.Arity() == 0 {
+		if norm.Arity == 0 {
 			// Fully-constant atom: an existence guard.
-			if norm.Cardinality() == 0 {
+			if norm.N == 0 {
 				p.emptyGuardFailed = true
 			}
 			continue
@@ -128,17 +135,17 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 			// The B-tree backend indexes instead of sorting; Prepare's
 			// "sort time" then meters the index build — the very cost the
 			// paper's array-based design avoids.
-			trie = newBTreeTrie(norm.Tuples, norm.Arity())
+			trie = newBTreeTrie(norm)
 		} else {
 			if !sorted {
-				norm.Sort()
+				rel.SortFlat(norm.Data, norm.Arity)
 			}
-			trie = newArrayTrie(norm.Tuples, norm.Arity(), mode)
+			trie = newArrayTrie(norm.Data, norm.Arity, mode)
 		}
 		pa := &preparedAtom{
 			alias: atom.Alias,
 			trie:  trie,
-			depth: norm.Arity(),
+			depth: norm.Arity,
 		}
 		idx := len(p.atoms)
 		p.atoms = append(p.atoms, pa)
@@ -147,6 +154,7 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 		}
 	}
 	p.sortTime = time.Since(start)
+	p.initLevels()
 
 	// Attach each filter to the first depth where all its operands are bound.
 	p.filters = make([][]core.Filter, len(order))
@@ -168,6 +176,14 @@ func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.At
 		p.headIdx = append(p.headIdx, pos[h])
 	}
 	return p, nil
+}
+
+// initLevels allocates the per-level leapfrog scratch for p's tries.
+func (p *Prepared) initLevels() {
+	p.levels = make([]leapfrog, len(p.byLevel))
+	for d, atomIdx := range p.byLevel {
+		p.levels[d].iters = make([]TrieIterator, len(atomIdx))
+	}
 }
 
 func checkOrder(q *core.Query, order []core.Var) error {
@@ -209,26 +225,23 @@ func (p *Prepared) Run(emit func(rel.Tuple) bool) error {
 }
 
 // join enumerates the values of variable level d consistent with the
-// current bindings, recursing to deeper levels.
+// current bindings, recursing to deeper levels. It opens level d on every
+// participating trie and ascends them again on every way out.
 func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool) bool {
-	participants := p.byLevel[d]
-	iters := make([]TrieIterator, len(participants))
-	for i, ai := range participants {
-		p.atoms[ai].trie.Open()
-		iters[i] = p.atoms[ai].trie
+	lf := &p.levels[d]
+	// Refill in byLevel order: the leapfrog's stable key sort then sees
+	// the same starting sequence on every descent.
+	for i, ai := range p.byLevel[d] {
+		it := p.atoms[ai].trie
+		it.Open()
+		lf.iters[i] = it
 	}
-	defer func() {
-		for _, ai := range participants {
-			p.atoms[ai].trie.Up()
-		}
-	}()
-
-	lf := leapfrog{iters: iters}
+	ok := true
 	lf.init()
 	if d == 0 && p.hasLo && !lf.atEnd && lf.key() < p.lo {
 		lf.seek(p.lo)
 	}
-	for !lf.atEnd {
+	for ok && !lf.atEnd {
 		if d == 0 && p.hasHi && lf.key() >= p.hi {
 			break
 		}
@@ -236,7 +249,8 @@ func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool
 			p.stopSteps++
 			if p.stopSteps&4095 == 0 && p.stop() {
 				p.stopped = true
-				return false
+				ok = false
+				break
 			}
 		}
 		binding[d] = lf.key()
@@ -246,16 +260,19 @@ func (p *Prepared) join(d int, binding, out rel.Tuple, emit func(rel.Tuple) bool
 					out[i] = binding[ix]
 				}
 				p.results++
-				if !emit(out) {
-					return false
-				}
-			} else if !p.join(d+1, binding, out, emit) {
-				return false
+				ok = emit(out)
+			} else {
+				ok = p.join(d+1, binding, out, emit)
 			}
 		}
-		lf.next()
+		if ok {
+			lf.next()
+		}
 	}
-	return true
+	for _, it := range lf.iters {
+		it.Up()
+	}
+	return ok
 }
 
 func (p *Prepared) checkFilters(d int, binding rel.Tuple) bool {
@@ -302,13 +319,18 @@ func Evaluate(q *core.Query, relations map[string]*rel.Relation, order []core.Va
 	for i, h := range head {
 		schema[i] = string(h)
 	}
-	out := &rel.Relation{Name: q.Name, Schema: schema}
+	res := Rows{Arity: len(head)}
 	err = p.Run(func(t rel.Tuple) bool {
-		out.Tuples = append(out.Tuples, t.Clone())
+		res.Data = append(res.Data, t...)
+		res.N++
 		return true
 	})
 	if err != nil {
 		return nil, Stats{}, err
+	}
+	out := &rel.Relation{Name: q.Name, Schema: schema, Tuples: make([]rel.Tuple, res.N)}
+	for i := range out.Tuples {
+		out.Tuples[i] = res.Row(i)
 	}
 	if !q.IsFull() {
 		out.Dedup()

@@ -1,16 +1,14 @@
 // Package ljoin implements parajoin's local (single-worker) join
 // algorithms. The centerpiece is the Tributary join: the paper's
 // implementation of the Leapfrog Triejoin API over sorted arrays rather
-// than B-trees, worst-case optimal up to a log factor. The package also
-// provides the local hash join, semijoin, and a naive backtracking
-// evaluator used as a correctness oracle in tests.
+// than B-trees, worst-case optimal up to a log factor. Each atom's array
+// is one flat, arity-strided []int64 (Rows), filled by normalization and
+// sorted in place by rel.SortFlat's radix sort, so preparing a join costs
+// one allocation per atom rather than one per tuple, and running it
+// allocates nothing per trie node. The package also provides the local
+// hash join, semijoin, and a naive backtracking evaluator used as a
+// correctness oracle in tests.
 package ljoin
-
-import (
-	"sort"
-
-	"parajoin/internal/rel"
-)
 
 // SeekMode selects the search strategy TrieIterator.Seek uses. The paper's
 // Tributary join uses binary search over the remaining array (O(log n) per
@@ -52,44 +50,50 @@ type TrieIterator interface {
 	Seeks() int64
 }
 
-// arrayTrie is the sorted-array TrieIterator. The relation's tuples must be
+// arrayTrie is the sorted-array TrieIterator. Its relation is a flat
+// arity-strided array — row r, column c is data[r*w+c] — whose rows are
 // lexicographically sorted. Level d ranges over the distinct values of
-// column d among the tuples in the half-open range [lo[d], hi[d]) that
-// share the key prefix chosen at levels 0..d-1. Because the array is
-// sorted, each residual relation is a contiguous sub-array, so Open/Up just
+// column d among the rows in the half-open range [lo[d], hi[d]) that share
+// the key prefix chosen at levels 0..d-1. Because the array is sorted,
+// each residual relation is a contiguous run of rows, so Open/Up just
 // push and pop range bounds — the "adjust the start and endpoints" trick
-// from Section 2.2 of the paper.
+// from Section 2.2 of the paper — and every search indexes the one array
+// directly.
 type arrayTrie struct {
-	tuples []rel.Tuple
-	depth  int // current level; -1 = positioned at the (virtual) root
-	lo     []int
-	hi     []int
-	pos    []int
-	end    []bool
-	mode   SeekMode
-	seeks  int64
+	data  []int64
+	w     int // row width (the array's arity)
+	n     int // row count
+	depth int // current level; -1 = positioned at the (virtual) root
+	lo    []int
+	hi    []int
+	pos   []int
+	end   []bool
+	mode  SeekMode
+	seeks int64
 }
 
-// newArrayTrie wraps a sorted relation. maxDepth is the number of columns
-// the join will descend through (the atom's variable count).
-func newArrayTrie(tuples []rel.Tuple, maxDepth int, mode SeekMode) *arrayTrie {
+// newArrayTrie wraps a sorted width-w array; the join descends through
+// all w columns.
+func newArrayTrie(data []int64, w int, mode SeekMode) *arrayTrie {
 	return &arrayTrie{
-		tuples: tuples,
-		depth:  -1,
-		lo:     make([]int, maxDepth),
-		hi:     make([]int, maxDepth),
-		pos:    make([]int, maxDepth),
-		end:    make([]bool, maxDepth),
-		mode:   mode,
+		data:  data,
+		w:     w,
+		n:     len(data) / w,
+		depth: -1,
+		lo:    make([]int, w),
+		hi:    make([]int, w),
+		pos:   make([]int, w),
+		end:   make([]bool, w),
+		mode:  mode,
 	}
 }
 
 func (a *arrayTrie) Open() {
 	d := a.depth + 1
 	if d == 0 {
-		a.lo[0], a.hi[0] = 0, len(a.tuples)
+		a.lo[0], a.hi[0] = 0, a.n
 	} else {
-		// The children of the current key are the run of tuples sharing it.
+		// The children of the current key are the run of rows sharing it.
 		a.lo[d] = a.pos[d-1]
 		a.hi[d] = a.keyRunEnd(d - 1)
 	}
@@ -113,20 +117,20 @@ func (a *arrayTrie) Next() {
 
 func (a *arrayTrie) SeekGE(v int64) {
 	d := a.depth
-	if a.end[d] || a.tuples[a.pos[d]][d] >= v {
+	if a.end[d] || a.data[a.pos[d]*a.w+d] >= v {
 		return
 	}
 	a.seeks++
 	switch a.mode {
 	case SeekGalloping:
-		a.pos[d] = gallop(a.tuples, a.pos[d], a.hi[d], d, v)
+		a.pos[d] = gallop(a.data, a.w, a.pos[d], a.hi[d], d, v)
 	default:
-		a.pos[d] = lowerBound(a.tuples, a.pos[d], a.hi[d], d, v)
+		a.pos[d] = lowerBound(a.data, a.w, a.pos[d], a.hi[d], d, v)
 	}
 	a.end[d] = a.pos[d] >= a.hi[d]
 }
 
-func (a *arrayTrie) Key() int64   { return a.tuples[a.pos[a.depth]][a.depth] }
+func (a *arrayTrie) Key() int64   { return a.data[a.pos[a.depth]*a.w+a.depth] }
 func (a *arrayTrie) AtEnd() bool  { return a.end[a.depth] }
 func (a *arrayTrie) Seeks() int64 { return a.seeks }
 
@@ -134,39 +138,47 @@ func (a *arrayTrie) Seeks() int64 { return a.seeks }
 // backing array, positioned at the virtual root with a fresh seek counter.
 // Shards use it to walk disjoint ranges of one relation concurrently.
 func (a *arrayTrie) clone() *arrayTrie {
-	return newArrayTrie(a.tuples, len(a.lo), a.mode)
+	return newArrayTrie(a.data, a.w, a.mode)
 }
 
-// keyRunEnd returns the index one past the run of tuples sharing the
-// current key at level d within [pos[d], hi[d]).
+// keyRunEnd returns the row one past the run of rows sharing the current
+// key at level d within [pos[d], hi[d]).
 func (a *arrayTrie) keyRunEnd(d int) int {
-	k := a.tuples[a.pos[d]][d]
+	k := a.data[a.pos[d]*a.w+d]
 	a.seeks++
 	switch a.mode {
 	case SeekGalloping:
-		return gallop(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
+		return gallop(a.data, a.w, a.pos[d]+1, a.hi[d], d, k+1)
 	default:
-		return lowerBound(a.tuples, a.pos[d]+1, a.hi[d], d, k+1)
+		return lowerBound(a.data, a.w, a.pos[d]+1, a.hi[d], d, k+1)
 	}
 }
 
-// lowerBound returns the smallest index i in [lo, hi) with tuples[i][col]
-// ≥ v, or hi when none exists.
-func lowerBound(tuples []rel.Tuple, lo, hi, col int, v int64) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return tuples[lo+i][col] >= v })
+// lowerBound returns the smallest row i in [lo, hi) of the width-w array
+// data with data[i*w+col] ≥ v, or hi when none exists.
+func lowerBound(data []int64, w, lo, hi, col int, v int64) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if data[mid*w+col] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// gallop performs exponential search from lo: it doubles a probe distance
-// until overshooting, then binary-searches the final bracket. Cost is
-// O(log d) where d is the distance moved, which beats plain binary search
-// when intersections advance in small steps.
-func gallop(tuples []rel.Tuple, lo, hi, col int, v int64) int {
-	if lo >= hi || tuples[lo][col] >= v {
+// gallop performs exponential search from row lo: it doubles a probe
+// distance until overshooting, then binary-searches the final bracket.
+// Cost is O(log d) where d is the distance moved, which beats plain binary
+// search when intersections advance in small steps.
+func gallop(data []int64, w, lo, hi, col int, v int64) int {
+	if lo >= hi || data[lo*w+col] >= v {
 		return lo
 	}
 	step := 1
 	prev := lo
-	for lo+step < hi && tuples[lo+step][col] < v {
+	for lo+step < hi && data[(lo+step)*w+col] < v {
 		prev = lo + step
 		step *= 2
 	}
@@ -174,5 +186,5 @@ func gallop(tuples []rel.Tuple, lo, hi, col int, v int64) int {
 	if upper > hi {
 		upper = hi
 	}
-	return lowerBound(tuples, prev+1, upper, col, v)
+	return lowerBound(data, w, prev+1, upper, col, v)
 }

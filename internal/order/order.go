@@ -37,9 +37,10 @@ type Estimator struct {
 
 type atomStats struct {
 	atom core.Atom
-	// norm is the atom's normalized relation: constants applied, columns =
-	// the atom's distinct variables in canonical (first-appearance) order.
-	norm *rel.Relation
+	// norm is the atom's normalized relation, flat: constants applied,
+	// columns = the atom's distinct variables in canonical
+	// (first-appearance) order.
+	norm ljoin.Rows
 	// colOf maps a variable to its column in norm.
 	colOf map[core.Var]int
 	// cache maps a bitmask over the query's variables to V(norm, set).
@@ -59,9 +60,10 @@ func NewEstimator(q *core.Query, relations map[string]*rel.Relation) (*Estimator
 		if r == nil {
 			return nil, fmt.Errorf("order: no relation bound to atom %q", a.Alias)
 		}
-		norm := ljoin.NormalizeAtom(a, r, canon)
-		colOf := make(map[core.Var]int, norm.Arity())
-		for i, name := range norm.Schema {
+		n := ljoin.NewNormalizer(a, canon)
+		norm := n.Flatten(r.Tuples)
+		colOf := make(map[core.Var]int, norm.Arity)
+		for i, name := range n.Schema() {
 			colOf[core.Var(name)] = i
 		}
 		e.atoms = append(e.atoms, &atomStats{
@@ -97,7 +99,8 @@ func (a *atomStats) prefixCount(e *Estimator, mask uint64) float64 {
 			}
 		}
 	}
-	v := float64(stats.DistinctTuples(a.norm, cols))
+	// Cost asks only about atoms with variables, so the arity is positive.
+	v := float64(stats.DistinctRows(a.norm.Data, a.norm.Arity, cols))
 	a.cache[mask] = v
 	return v
 }

@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"parajoin/internal/rel"
@@ -33,6 +33,24 @@ func Drain(s Stream) ([]rel.Tuple, error) {
 			return nil, err
 		}
 		out = append(out, t)
+	}
+}
+
+// DrainFlat materializes a stream of arity-w tuples into one strided
+// array, row i at [i*w:(i+1)*w], sized once from the stream's length, and
+// closes the stream.
+func DrainFlat(s Stream, w int) ([]int64, error) {
+	out := make([]int64, 0, s.Len()*int64(w))
+	for {
+		t, err := s.Next()
+		if err == io.EOF {
+			return out, s.Close()
+		}
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		out = append(out, t...)
 	}
 }
 
@@ -150,7 +168,7 @@ func (s *spiller) Segments() int { return len(s.segs) }
 func (s *spiller) Len() int64 { return s.total }
 
 func sortRun(run []rel.Tuple) {
-	sort.Slice(run, func(i, j int) bool { return run[i].Compare(run[j]) < 0 })
+	slices.SortFunc(run, rel.Tuple.Compare)
 }
 
 // Sorter is an external merge sort: tuples are added in any order, sealed

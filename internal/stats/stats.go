@@ -5,11 +5,7 @@
 // cost model (Section 5).
 package stats
 
-import (
-	"encoding/binary"
-
-	"parajoin/internal/rel"
-)
+import "parajoin/internal/rel"
 
 // Distinct returns the number of distinct values in column col of r.
 func Distinct(r *rel.Relation, col int) int {
@@ -31,38 +27,75 @@ func DistinctTuples(r *rel.Relation, cols []int) int {
 		}
 		return 1
 	}
-	seen := make(map[string]struct{}, len(r.Tuples))
-	key := make([]byte, 8*len(cols))
-	for _, t := range r.Tuples {
-		for i, c := range cols {
-			binary.LittleEndian.PutUint64(key[8*i:], uint64(t[c]))
+	return countDistinct(project(r.Tuples, cols), len(cols))[len(cols)-1]
+}
+
+// DistinctRows is DistinctTuples for a relation stored as a width-w
+// strided array (row i is data[i*w:(i+1)*w]); w must be positive.
+func DistinctRows(data []int64, w int, cols []int) int {
+	if len(cols) == 0 {
+		if len(data) == 0 {
+			return 0
 		}
-		seen[string(key)] = struct{}{}
+		return 1
 	}
-	return len(seen)
+	proj := make([]int64, 0, len(data)/w*len(cols))
+	for i := 0; i < len(data); i += w {
+		for _, c := range cols {
+			proj = append(proj, data[i+c])
+		}
+	}
+	return countDistinct(proj, len(cols))[len(cols)-1]
 }
 
 // PrefixDistinct returns, for every prefix length k = 1..len(cols), the
-// number of distinct projections of r onto cols[:k]. A single pass computes
-// all of them.
+// number of distinct projections of r onto cols[:k]. A single sort of the
+// projection onto cols computes all of them.
 func PrefixDistinct(r *rel.Relation, cols []int) []int {
-	out := make([]int, len(cols))
 	if len(cols) == 0 {
-		return out
+		return []int{}
 	}
-	seen := make([]map[string]struct{}, len(cols))
-	for i := range seen {
-		seen[i] = make(map[string]struct{})
-	}
-	key := make([]byte, 8*len(cols))
-	for _, t := range r.Tuples {
-		for i, c := range cols {
-			binary.LittleEndian.PutUint64(key[8*i:], uint64(t[c]))
-			seen[i][string(key[:8*(i+1)])] = struct{}{}
+	return countDistinct(project(r.Tuples, cols), len(cols))
+}
+
+// project lays the projection of tuples onto cols out as a strided array
+// of width len(cols).
+func project(tuples []rel.Tuple, cols []int) []int64 {
+	proj := make([]int64, 0, len(tuples)*len(cols))
+	for _, t := range tuples {
+		for _, c := range cols {
+			proj = append(proj, t[c])
 		}
 	}
-	for i := range out {
-		out[i] = len(seen[i])
+	return proj
+}
+
+// countDistinct sorts the rows of a width-w strided array in place and
+// returns, for k = 1..w, the number of distinct length-k prefixes among
+// them. In sorted order equal prefixes are adjacent, so a row starts a new
+// length-k prefix exactly when it differs from its predecessor within the
+// first k columns.
+func countDistinct(rows []int64, w int) []int {
+	out := make([]int, w)
+	if len(rows) == 0 {
+		return out
+	}
+	rel.SortFlat(rows, w)
+	// firstDiff[c] counts rows whose first difference from the previous
+	// row is column c; the first row differs everywhere.
+	firstDiff := make([]int, w+1)
+	firstDiff[0]++
+	for i := w; i < len(rows); i += w {
+		c := 0
+		for c < w && rows[i+c] == rows[i-w+c] {
+			c++
+		}
+		firstDiff[c]++
+	}
+	n := 0
+	for k := range out {
+		n += firstDiff[k]
+		out[k] = n
 	}
 	return out
 }
