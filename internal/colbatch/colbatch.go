@@ -64,7 +64,7 @@ func uvarintLen(u uint64) int {
 type Encoder struct {
 	cols     [][]int64
 	colArena []int64
-	dict     map[int64]uint32
+	dict     dictTable
 	dictVals []int64
 	idx      []uint32
 }
@@ -160,10 +160,6 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 	// One scan builds the dictionary (first-appearance order, abandoned
 	// past maxDict or half the rows — beyond that raw can't lose by much)
 	// and the exact encoded sizes of every alternative.
-	if e.dict == nil {
-		e.dict = make(map[int64]uint32, maxDict)
-	}
-	clear(e.dict)
 	e.dictVals = e.dictVals[:0]
 	if cap(e.idx) < len(col) {
 		e.idx = make([]uint32, len(col))
@@ -173,24 +169,24 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 	if half := len(col) / 2; half < dictLimit {
 		dictLimit = half + 1
 	}
+	e.dict.reset(dictLimit)
 	rawSize, idxSize, dictOK := 0, 0, true
 	for i, v := range col {
 		rawSize += zigzagLen(v)
 		if !dictOK {
 			continue
 		}
-		k, ok := e.dict[v]
-		if !ok {
+		s := e.dict.lookup(v)
+		if s.gen != e.dict.gen {
 			if len(e.dictVals) >= dictLimit {
 				dictOK = false
 				continue
 			}
-			k = uint32(len(e.dictVals))
-			e.dict[v] = k
+			*s = dictSlot{key: v, code: uint32(len(e.dictVals)), gen: e.dict.gen}
 			e.dictVals = append(e.dictVals, v)
 		}
-		e.idx[i] = k
-		idxSize += uvarintLen(uint64(k))
+		e.idx[i] = s.code
+		idxSize += uvarintLen(uint64(s.code))
 	}
 	if dictOK && len(e.dictVals) == 1 {
 		counters.valuesConst.Add(int64(len(col)))
@@ -221,6 +217,55 @@ func (e *Encoder) appendColumn(dst []byte, col []int64) []byte {
 		dst = binary.AppendVarint(dst, v)
 	}
 	return dst
+}
+
+// dictTable maps a column's values to their dictionary codes by open
+// addressing with linear probing. A slot is live only while its stamp
+// equals the table's generation, so emptying the table between columns is
+// one counter bump rather than a clear.
+type dictTable struct {
+	slots []dictSlot
+	mask  uint64
+	shift uint
+	gen   uint32
+}
+
+type dictSlot struct {
+	key  int64
+	code uint32
+	gen  uint32
+}
+
+// reset empties the table and sizes it to the next power of two at or
+// above 2n, so n entries leave at least half the slots free.
+func (d *dictTable) reset(n int) {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	size := 1 << bits
+	if len(d.slots) < size {
+		d.slots = make([]dictSlot, size)
+	}
+	if d.gen++; d.gen == 0 {
+		// The stamp wrapped: stale slots could read as live.
+		clear(d.slots)
+		d.gen = 1
+	}
+	d.mask = uint64(size - 1)
+	d.shift = 64 - bits
+}
+
+// lookup returns v's slot, or the free slot where v belongs.
+func (d *dictTable) lookup(v int64) *dictSlot {
+	i := (uint64(v) * 0x9e3779b97f4a7c15) >> d.shift
+	for {
+		s := &d.slots[i]
+		if s.gen != d.gen || s.key == v {
+			return s
+		}
+		i = (i + 1) & d.mask
+	}
 }
 
 // Batch is one decoded columnar batch: per-column int64 vectors over a

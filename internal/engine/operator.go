@@ -133,17 +133,17 @@ type projectOp struct {
 	sch   rel.Schema
 	cols  []int
 	dedup bool
-	seen  map[string]struct{}
-	buf   []byte
+	seen  *rowTable // projected rows emitted so far, when deduplicating
+	out   rowArena
 }
 
 func (o *projectOp) schema() rel.Schema { return o.sch }
 
 func (o *projectOp) open() error {
 	if o.dedup {
-		o.seen = make(map[string]struct{})
-		o.buf = make([]byte, 8*len(o.cols))
+		o.seen = newRowTable(len(o.cols), identityCols(len(o.cols)))
 	}
+	o.out.arity = len(o.cols)
 	return o.in.open()
 }
 
@@ -155,81 +155,64 @@ func (o *projectOp) next() ([]rel.Tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]rel.Tuple, 0, len(b))
-		for _, t := range b {
-			p := t.Project(o.cols)
+		for i, t := range b {
 			if o.dedup {
-				k := tupleKey(p, o.buf)
-				if _, ok := o.seen[k]; ok {
+				if !o.seen.addNew(t, o.cols) {
 					continue
 				}
-				o.seen[k] = struct{}{}
 				if err := o.t.ex.charge(o.t.worker, 1, "project-dedup"); err != nil {
 					return nil, err
 				}
 			}
-			out = append(out, p)
+			p := o.out.alloc(len(b) - i)
+			for j, c := range o.cols {
+				p[j] = t[c]
+			}
 		}
-		if len(out) > 0 {
+		if out := o.out.take(); len(out) > 0 {
 			return out, nil
 		}
 	}
 }
 
-func tupleKey(t rel.Tuple, buf []byte) string {
-	for i, v := range t {
-		le(buf[8*i:], uint64(v))
-	}
-	return string(buf[:8*len(t)])
-}
-
-func le(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
 // ---------------------------------------------------------------- hash join
 
-// hashJoinOp is the symmetric (pipelined) hash join: hash tables on both
-// sides, each arriving batch inserted into its side's table and probed
-// against the other. Inputs are pulled round-robin; when one side is
-// exhausted the other is drained — the paper's "if one input does not have
-// any data, the join pulls the other input".
+// hashJoinOp is the symmetric (pipelined) hash join: a row table on each
+// side, each arriving tuple inserted into its side's table and then matched
+// against the other side's rows for its key, in insertion order. Inputs are
+// pulled a batch at a time round-robin; when one side is exhausted the
+// other is drained — the paper's "if one input does not have any data, the
+// join pulls the other input".
+//
+// next is a resumable probe cursor over the current input batch (cur, pos)
+// and the other table's chain (link): it stops as soon as one output batch
+// is full, so pending output never exceeds a batch however hot a key is.
 type hashJoinOp struct {
-	t           *task
-	left, right operator
-	lCols       []int
-	rCols       []int
-	sch         rel.Schema
-	rKeep       []int
+	t            *task
+	left, right  operator
+	lCols, rCols []int
+	sch          rel.Schema
+	rKeep        []int
 
-	// Single-column keys use the int64-keyed tables (no per-tuple key
-	// allocation); multi-column keys fall back to packed-string keys.
-	lTable, rTable   map[string][]rel.Tuple
-	lTable1, rTable1 map[int64][]rel.Tuple
-	buf              []byte
-	pending          []rel.Tuple
-	turn             int // 0 = pull left next, 1 = right
-	lDone, rDone     bool
+	lTable, rTable *rowTable
+	out            rowArena
+
+	cur      []rel.Tuple // input batch being joined
+	curSide  int         // side cur came from: 0 = left, 1 = right
+	pos      int         // row of cur being joined
+	inserted bool        // cur[pos] is in its table and link is set
+	link     int32       // next matching row of the other table, or -1
+
+	turn         int // 0 = pull left next, 1 = right
+	lDone, rDone bool
 }
 
 func (o *hashJoinOp) schema() rel.Schema { return o.sch }
 
 func (o *hashJoinOp) open() error {
-	if len(o.lCols) == 1 {
-		o.lTable1 = make(map[int64][]rel.Tuple)
-		o.rTable1 = make(map[int64][]rel.Tuple)
-	} else {
-		o.lTable = make(map[string][]rel.Tuple)
-		o.rTable = make(map[string][]rel.Tuple)
-		o.buf = make([]byte, 8*len(o.lCols))
-	}
+	o.lTable = newRowTable(len(o.left.schema()), o.lCols)
+	o.rTable = newRowTable(len(o.right.schema()), o.rCols)
+	o.out.arity = len(o.sch)
 	if err := o.left.open(); err != nil {
 		return err
 	}
@@ -245,28 +228,21 @@ func (o *hashJoinOp) close() error {
 	return err2
 }
 
-func (o *hashJoinOp) emit(left, right rel.Tuple) {
-	row := make(rel.Tuple, 0, len(o.sch))
-	row = append(row, left...)
-	for _, c := range o.rKeep {
-		row = append(row, right[c])
-	}
-	o.pending = append(o.pending, row)
-}
-
 func (o *hashJoinOp) next() ([]rel.Tuple, error) {
+	bs := o.t.ex.batchSize
 	for {
-		if len(o.pending) > 0 {
-			b := o.pending
-			if len(b) > o.t.ex.batchSize {
-				b = o.pending[:o.t.ex.batchSize]
-				o.pending = o.pending[o.t.ex.batchSize:]
-			} else {
-				o.pending = nil
+		if o.pos < len(o.cur) {
+			t0 := time.Now()
+			full := o.probe(bs)
+			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
+			if full {
+				return o.out.take(), nil
 			}
-			return b, nil
 		}
 		if o.lDone && o.rDone {
+			if out := o.out.take(); len(out) > 0 {
+				return out, nil
+			}
 			return nil, io.EOF
 		}
 		side := o.turn
@@ -278,79 +254,67 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 		}
 		o.turn = 1 - side
 
-		if side == 0 {
-			b, err := o.left.next()
-			if err == io.EOF {
-				o.lDone = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if o.lTable1 != nil {
-				c := o.lCols[0]
-				for _, t := range b {
-					k := t[c]
-					o.lTable1[k] = append(o.lTable1[k], t)
-					for _, m := range o.rTable1[k] {
-						o.emit(t, m)
-					}
-				}
-			} else {
-				for _, t := range b {
-					k := joinKeyCols(t, o.lCols, o.buf)
-					o.lTable[k] = append(o.lTable[k], t)
-					for _, m := range o.rTable[k] {
-						o.emit(t, m)
-					}
-				}
-			}
-			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
-		} else {
-			b, err := o.right.next()
-			if err == io.EOF {
-				o.rDone = true
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			if o.rTable1 != nil {
-				c := o.rCols[0]
-				for _, t := range b {
-					k := t[c]
-					o.rTable1[k] = append(o.rTable1[k], t)
-					for _, m := range o.lTable1[k] {
-						o.emit(m, t)
-					}
-				}
-			} else {
-				for _, t := range b {
-					k := joinKeyCols(t, o.rCols, o.buf)
-					o.rTable[k] = append(o.rTable[k], t)
-					for _, m := range o.lTable[k] {
-						o.emit(m, t)
-					}
-				}
-			}
-			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
+		in := o.left
+		if side == 1 {
+			in = o.right
 		}
+		b, err := in.next()
+		if err == io.EOF {
+			if side == 0 {
+				o.lDone = true
+			} else {
+				o.rDone = true
+			}
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
+			return nil, err
+		}
+		o.cur, o.curSide, o.pos, o.inserted = b, side, 0, false
 	}
 }
 
-func joinKeyCols(t rel.Tuple, cols []int, buf []byte) string {
-	for i, c := range cols {
-		le(buf[8*i:], uint64(t[c]))
+// probe advances the cursor through cur, inserting each tuple into its
+// side's table and emitting its matches, until cur is done or the output
+// batch holds bs rows; it reports the latter.
+func (o *hashJoinOp) probe(bs int) bool {
+	own, other, cols := o.lTable, o.rTable, o.lCols
+	if o.curSide == 1 {
+		own, other, cols = o.rTable, o.lTable, o.rCols
 	}
-	return string(buf[:8*len(cols)])
+	for ; o.pos < len(o.cur); o.pos, o.inserted = o.pos+1, false {
+		t := o.cur[o.pos]
+		if !o.inserted {
+			k := own.keyOf(t, cols)
+			own.add(k, t, nil)
+			o.link = other.first(k, t, cols)
+			o.inserted = true
+		}
+		for ; o.link >= 0; o.link = other.after(o.link, t, cols) {
+			if len(o.out.rows) == bs {
+				return true
+			}
+			m := other.row(o.link)
+			if o.curSide == 0 {
+				o.emit(t, m)
+			} else {
+				o.emit(m, t)
+			}
+		}
+	}
+	o.cur = nil
+	return len(o.out.rows) == bs
+}
+
+func (o *hashJoinOp) emit(left, right []int64) {
+	row := o.out.alloc(o.t.ex.batchSize)
+	n := copy(row, left)
+	for j, c := range o.rKeep {
+		row[n+j] = right[c]
+	}
 }
 
 // ---------------------------------------------------------------- tributary

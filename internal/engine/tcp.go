@@ -339,7 +339,7 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 				batch[i] = rel.Tuple(tu)
 			}
 		}
-		dup, released := t.admit(&f)
+		dup := t.deliver(&f, batch)
 		if f.Seq > 0 {
 			// Ack duplicates too: the original ack may be what got lost.
 			c.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
@@ -349,41 +349,47 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 		}
 		if dup {
 			live.netDupFramesDropped.Add(1)
-			continue
 		}
-		if released {
-			// Straggler for a finished run: drop instead of resurrecting its
-			// queues.
-			continue
-		}
-		q := t.queue(f.Exchange, f.Dst)
-		if f.Close {
-			q.closeOne()
-			continue
-		}
-		t.countReceived(1, 0)
-		q.push(wireBatch{tuples: batch})
 	}
 }
 
-// admit checks one incoming data/close frame against the dedup high-water
-// mark and the released-epoch filter.
-func (t *TCPTransport) admit(f *frame) (dup, released bool) {
+// deliver checks one incoming data/close frame against the dedup
+// high-water mark and the released-epoch filter and hands it to its inbox,
+// all under one lock hold. A concurrent ReleaseEpoch thus either frees the
+// delivered batch with its inbox or has already released the epoch, in
+// which case the straggler is dropped instead of resurrecting the inbox.
+// It reports whether the frame was a duplicate.
+func (t *TCPTransport) deliver(f *frame, batch []rel.Tuple) (dup bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if f.Seq > 0 {
 		k := seqKey{f.Exchange, f.Src, f.Dst}
 		if f.Seq <= t.recvSeq[k] {
-			return true, false
+			return true
 		}
 		t.recvSeq[k] = f.Seq
 	}
-	return false, t.released[wireEpoch(f.Exchange)]
+	if t.released[wireEpoch(f.Exchange)] {
+		return false
+	}
+	q := t.queueLocked(f.Exchange, f.Dst)
+	if f.Close {
+		q.closeOne()
+		return false
+	}
+	t.countReceived(1, 0)
+	q.push(wireBatch{tuples: batch})
+	return false
 }
 
 func (t *TCPTransport) queue(exchange, worker int) *memQueue {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.queueLocked(exchange, worker)
+}
+
+// queueLocked is queue with t.mu held.
+func (t *TCPTransport) queueLocked(exchange, worker int) *memQueue {
 	k := inboxKey{exchange, worker}
 	q, ok := t.inbox[k]
 	if !ok {

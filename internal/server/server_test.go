@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -180,7 +181,15 @@ func TestServerConcurrentClients(t *testing.T) {
 		}
 	}
 
+	// The server writes each response before it releases the query's
+	// admission slot, so a client can see its last answer while the slot
+	// is still held: wait, with a deadline, for the gate to settle.
 	st := srv.Stats()
+	deadline := time.Now().Add(10 * time.Second)
+	for (st.Gate.InFlight != 0 || st.Gate.Completed != st.Gate.Admitted) && time.Now().Before(deadline) {
+		runtime.Gosched()
+		st = srv.Stats()
+	}
 	if st.Gate.Admitted != clients*perClient {
 		t.Fatalf("admitted = %d, want %d", st.Gate.Admitted, clients*perClient)
 	}
