@@ -163,7 +163,11 @@ func runDistScale(s *experiments.Suite) error {
 // Figure-3 configuration.
 func distArm(s *experiments.Suite, store *partstore.Store, coord *cluster.Coordinator,
 	members []string, arm string, answers *[][][]int64) ([]distRun, error) {
-	db, err := parajoin.OpenFromStore(store, members, parajoin.WithSeed(s.Seed))
+	// Both arms meter colbatch bytes: the local arm's in-memory transport
+	// would otherwise count a flat 8 bytes per value against the members'
+	// encoded TCP frames.
+	db, err := parajoin.OpenFromStore(store, members, parajoin.WithSeed(s.Seed),
+		parajoin.WithColumnarExchange(true))
 	if err != nil {
 		return nil, err
 	}

@@ -375,11 +375,11 @@ func fragDecode(data []byte) ([]rel.Tuple, int, error) {
 	var tuples []rel.Tuple
 	total := 0
 	for len(data) > 0 {
-		batch, n, err := colbatch.DecodeNext(data)
+		batch, n, err := colbatch.DecodeInto(nil, data)
 		if err != nil {
 			return nil, 0, err
 		}
-		tuples = append(tuples, batch.Tuples()...)
+		tuples = batch.AppendTuples(tuples)
 		data = data[n:]
 		total += n
 	}

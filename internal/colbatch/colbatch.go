@@ -95,8 +95,25 @@ func (e *Encoder) AppendRows(dst []byte, rows [][]int64) ([]byte, error) {
 	return e.appendBatch(dst, len(rows), ncols)
 }
 
-// transpose fills e.cols with the batch's values column-major.
-func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
+// AppendFlat is AppendTuples for a block of flat rows — the exchange and
+// spill form. It produces the same bytes AppendTuples does for the same
+// rows.
+func (e *Encoder) AppendFlat(dst []byte, rows rel.Rows) ([]byte, error) {
+	if err := e.setup(rows.N, rows.Arity); err != nil {
+		return nil, err
+	}
+	w := rows.Arity
+	for j, col := range e.cols {
+		for i := range col {
+			col[i] = rows.Data[i*w+j]
+		}
+	}
+	return e.appendBatch(dst, rows.N, w)
+}
+
+// setup checks a batch's shape against the limits and points e.cols at
+// nrows-long column slices of the reused arena.
+func (e *Encoder) setup(nrows, ncols int) error {
 	if nrows > MaxRows {
 		return fmt.Errorf("colbatch: batch of %d rows exceeds limit %d", nrows, MaxRows)
 	}
@@ -112,6 +129,14 @@ func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
 	e.cols = e.cols[:ncols]
 	for j := range e.cols {
 		e.cols[j] = e.colArena[j*nrows : (j+1)*nrows]
+	}
+	return nil
+}
+
+// transpose fills e.cols with the batch's values column-major.
+func (e *Encoder) transpose(nrows, ncols int, row func(int) []int64) error {
+	if err := e.setup(nrows, ncols); err != nil {
+		return err
 	}
 	for i := 0; i < nrows; i++ {
 		r := row(i)
@@ -268,126 +293,81 @@ func (d *dictTable) lookup(v int64) *dictSlot {
 	}
 }
 
-// Batch is one decoded columnar batch: per-column int64 vectors over a
-// shared arena.
-type Batch struct {
-	cols [][]int64
-	rows int
-}
-
-// Rows returns the batch's row count.
-func (b *Batch) Rows() int { return b.rows }
-
-// Cols returns the batch's column count.
-func (b *Batch) Cols() int { return len(b.cols) }
-
-// Col returns column j's values in row order. The slice aliases the
-// batch's arena; callers must not mutate it.
-func (b *Batch) Col(j int) []int64 { return b.cols[j] }
-
-// Tuples materializes the batch row-major as a tuple slice. All tuples
-// share one backing arena (two allocations total, not one per row); their
-// capacities are clamped so appending to one can never bleed into its
-// neighbor. Callers own the result.
-func (b *Batch) Tuples() []rel.Tuple {
-	ncols := len(b.cols)
-	out := make([]rel.Tuple, b.rows)
-	arena := make([]int64, b.rows*ncols)
-	for i := range out {
-		t := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for j, col := range b.cols {
-			t[j] = col[i]
-		}
-		out[i] = t
-	}
-	return out
-}
-
-// AppendRows appends the batch's rows, materialized as []int64 slices over
-// a shared arena, to dst.
-func (b *Batch) AppendRows(dst [][]int64) [][]int64 {
-	ncols := len(b.cols)
-	arena := make([]int64, b.rows*ncols)
-	for i := 0; i < b.rows; i++ {
-		r := arena[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for j, col := range b.cols {
-			r[j] = col[i]
-		}
-		dst = append(dst, r)
-	}
-	return dst
-}
-
-// Decode decodes data, which must hold exactly one batch.
-func Decode(data []byte) (*Batch, error) {
-	b, n, err := DecodeNext(data)
+// Decode decodes data, which must hold exactly one batch, into freshly
+// allocated rows.
+func Decode(data []byte) (rel.Rows, error) {
+	rows, n, err := DecodeInto(nil, data)
 	if err != nil {
-		return nil, err
+		return rel.Rows{}, err
 	}
 	if n != len(data) {
-		return nil, fmt.Errorf("colbatch: %d trailing bytes after batch", len(data)-n)
+		return rel.Rows{}, fmt.Errorf("colbatch: %d trailing bytes after batch", len(data)-n)
 	}
-	return b, nil
+	return rows, nil
 }
 
-// DecodeNext decodes the batch at the head of data and returns it with the
-// number of bytes it occupied — the stream-reading form. Every limit and
-// the checksum are verified before the value arena is allocated.
-func DecodeNext(data []byte) (*Batch, int, error) {
+// DecodeInto decodes the batch at the head of data row-major into dst's
+// storage, allocating a larger array only when dst's capacity is short,
+// and returns the rows with the number of bytes the batch occupied — the
+// stream-reading form. The rows alias dst when it was large enough. Every
+// limit and the checksum are verified before any value is written.
+func DecodeInto(dst []int64, data []byte) (rel.Rows, int, error) {
 	if len(data) < HeaderSize {
-		return nil, 0, fmt.Errorf("colbatch: truncated header (%d of %d bytes)", len(data), HeaderSize)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: truncated header (%d of %d bytes)", len(data), HeaderSize)
 	}
 	if string(data[:4]) != Magic {
-		return nil, 0, fmt.Errorf("colbatch: bad magic %q", data[:4])
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: bad magic %q", data[:4])
 	}
 	if data[4] != Version {
-		return nil, 0, fmt.Errorf("colbatch: unsupported version %d (want %d)", data[4], Version)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: unsupported version %d (want %d)", data[4], Version)
 	}
 	if data[5] != 0 {
-		return nil, 0, fmt.Errorf("colbatch: unknown flags %#x", data[5])
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: unknown flags %#x", data[5])
 	}
 	ncols := int(binary.LittleEndian.Uint16(data[6:]))
 	nrows := int(binary.LittleEndian.Uint32(data[8:]))
 	plen := int(binary.LittleEndian.Uint32(data[12:]))
 	sum := binary.LittleEndian.Uint32(data[16:])
 	if ncols > MaxCols {
-		return nil, 0, fmt.Errorf("colbatch: %d columns exceeds limit %d", ncols, MaxCols)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: %d columns exceeds limit %d", ncols, MaxCols)
 	}
 	if nrows > MaxRows {
-		return nil, 0, fmt.Errorf("colbatch: %d rows exceeds limit %d", nrows, MaxRows)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: %d rows exceeds limit %d", nrows, MaxRows)
 	}
 	if plen > MaxPayload {
-		return nil, 0, fmt.Errorf("colbatch: payload of %d bytes exceeds limit %d", plen, MaxPayload)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: payload of %d bytes exceeds limit %d", plen, MaxPayload)
 	}
 	if len(data) < HeaderSize+plen {
-		return nil, 0, fmt.Errorf("colbatch: truncated payload (%d of %d bytes)", len(data)-HeaderSize, plen)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: truncated payload (%d of %d bytes)", len(data)-HeaderSize, plen)
 	}
 	payload := data[HeaderSize : HeaderSize+plen]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, 0, fmt.Errorf("colbatch: checksum mismatch: header %#x, payload %#x", sum, got)
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: checksum mismatch: header %#x, payload %#x", sum, got)
 	}
-	b := &Batch{rows: nrows, cols: make([][]int64, ncols)}
-	arena := make([]int64, nrows*ncols)
+	if cap(dst) < nrows*ncols {
+		dst = make([]int64, nrows*ncols)
+	}
+	dst = dst[:nrows*ncols]
 	for j := 0; j < ncols; j++ {
-		col := arena[j*nrows : (j+1)*nrows]
-		n, err := decodeColumn(col, payload)
+		n, err := decodeColumn(dst, j, ncols, nrows, payload)
 		if err != nil {
-			return nil, 0, fmt.Errorf("colbatch: column %d: %w", j, err)
+			return rel.Rows{}, 0, fmt.Errorf("colbatch: column %d: %w", j, err)
 		}
 		payload = payload[n:]
-		b.cols[j] = col
 	}
 	if len(payload) != 0 {
-		return nil, 0, fmt.Errorf("colbatch: %d undecoded payload bytes", len(payload))
+		return rel.Rows{}, 0, fmt.Errorf("colbatch: %d undecoded payload bytes", len(payload))
 	}
 	counters.batchesDecoded.Add(1)
 	counters.bytesDecoded.Add(int64(HeaderSize + plen))
-	return b, HeaderSize + plen, nil
+	return rel.Rows{Arity: ncols, N: nrows, Data: dst}, HeaderSize + plen, nil
 }
 
-// decodeColumn decodes one column block from the head of payload into col
-// and returns the bytes consumed.
-func decodeColumn(col []int64, payload []byte) (int, error) {
+// decodeColumn decodes one column block from the head of payload into
+// out[off], out[off+stride], ... (nrows values) and returns the bytes
+// consumed. out is never resliced at off, so an empty batch of any width
+// decodes without touching it.
+func decodeColumn(out []int64, off, stride, nrows int, payload []byte) (int, error) {
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("missing encoding byte")
 	}
@@ -414,39 +394,46 @@ func decodeColumn(col []int64, payload []byte) (int, error) {
 	}
 	switch enc {
 	case encConst:
-		if len(col) == 0 {
+		if nrows == 0 {
 			return 0, fmt.Errorf("const encoding for empty column")
 		}
 		v, err := readVarint()
 		if err != nil {
 			return 0, err
 		}
-		for i := range col {
-			col[i] = v
+		for i := 0; i < nrows; i++ {
+			out[off+i*stride] = v
 		}
 	case encRaw:
-		for i := range col {
+		for i := 0; i < nrows; i++ {
 			v, err := readVarint()
 			if err != nil {
 				return 0, err
 			}
-			col[i] = v
+			out[off+i*stride] = v
 		}
 	case encDict:
 		d, err := readUvarint()
 		if err != nil {
 			return 0, err
 		}
-		if d == 0 || d > uint64(len(col)) || d > maxDict {
-			return 0, fmt.Errorf("dictionary of %d entries for %d rows", d, len(col))
+		if d == 0 || d > uint64(nrows) || d > maxDict {
+			return 0, fmt.Errorf("dictionary of %d entries for %d rows", d, nrows)
 		}
-		dict := make([]int64, d)
+		// Small dictionaries, the common case, decode into stack storage.
+		var small [256]int64
+		var dict []int64
+		if d <= uint64(len(small)) {
+			dict = small[:d]
+		} else {
+			dict = make([]int64, d)
+		}
 		for i := range dict {
 			if dict[i], err = readVarint(); err != nil {
 				return 0, err
 			}
 		}
-		for i := range col {
+		for i := 0; i < nrows; i++ {
 			k, err := readUvarint()
 			if err != nil {
 				return 0, err
@@ -454,7 +441,7 @@ func decodeColumn(col []int64, payload []byte) (int, error) {
 			if k >= d {
 				return 0, fmt.Errorf("dictionary index %d out of %d entries", k, d)
 			}
-			col[i] = dict[k]
+			out[off+i*stride] = dict[k]
 		}
 	default:
 		return 0, fmt.Errorf("unknown column encoding %d", enc)
@@ -488,16 +475,19 @@ func AppendRowsStream(dst []byte, rows [][]int64) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRowsStream decodes a concatenation of batches back into rows.
+// DecodeRowsStream decodes a concatenation of batches back into rows, one
+// flat array per batch with the rows as views into it.
 func DecodeRowsStream(data []byte) ([][]int64, error) {
 	var rows [][]int64
 	for len(data) > 0 {
-		b, n, err := DecodeNext(data)
+		b, n, err := DecodeInto(nil, data)
 		if err != nil {
 			return nil, err
 		}
 		data = data[n:]
-		rows = b.AppendRows(rows)
+		for i := 0; i < b.N; i++ {
+			rows = append(rows, b.Row(i))
+		}
 	}
 	return rows, nil
 }

@@ -11,7 +11,7 @@ import (
 	"parajoin/internal/rel"
 )
 
-func roundTrip(t *testing.T, rows []rel.Tuple) *Batch {
+func roundTrip(t *testing.T, rows []rel.Tuple) rel.Rows {
 	t.Helper()
 	var e Encoder
 	data, err := e.AppendTuples(nil, rows)
@@ -22,14 +22,30 @@ func roundTrip(t *testing.T, rows []rel.Tuple) *Batch {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if b.Rows() != len(rows) {
-		t.Fatalf("rows: got %d, want %d", b.Rows(), len(rows))
+	if b.N != len(rows) {
+		t.Fatalf("rows: got %d, want %d", b.N, len(rows))
 	}
-	got := b.Tuples()
 	for i, want := range rows {
-		if !got[i].Equal(want) {
-			t.Fatalf("row %d: got %v, want %v", i, got[i], want)
+		if got := b.Row(i); !got.Equal(want) {
+			t.Fatalf("row %d: got %v, want %v", i, got, want)
 		}
+	}
+	// The flat encoder produces the same bytes, and decoding into a
+	// large-enough array reuses it.
+	flat, err := e.AppendFlat(nil, rel.FlatRows(b.Arity, rows))
+	if err != nil {
+		t.Fatalf("encode flat: %v", err)
+	}
+	if !bytes.Equal(flat, data) {
+		t.Fatalf("AppendFlat bytes differ from AppendTuples")
+	}
+	buf := make([]int64, 0, len(b.Data)+1)
+	again, _, err := DecodeInto(buf, data)
+	if err != nil {
+		t.Fatalf("decode into: %v", err)
+	}
+	if len(again.Data) > 0 && &again.Data[0] != &buf[:1][0] {
+		t.Fatalf("DecodeInto allocated despite a large-enough array")
 	}
 	return b
 }
@@ -45,6 +61,33 @@ func TestRoundTripShapes(t *testing.T) {
 	}
 	for name, rows := range cases {
 		t.Run(name, func(t *testing.T) { roundTrip(t, rows) })
+	}
+}
+
+// TestEmptyWideBatch round-trips a zero-row block of several columns: the
+// header says ncols > 1 but there is no value to place, and both decoders
+// must accept it without indexing past the empty array.
+func TestEmptyWideBatch(t *testing.T) {
+	for _, arity := range []int{2, 5} {
+		var e Encoder
+		data, err := e.AppendFlat(nil, rel.Rows{Arity: arity})
+		if err != nil {
+			t.Fatalf("arity %d: encode: %v", arity, err)
+		}
+		b, err := Decode(data)
+		if err != nil {
+			t.Fatalf("arity %d: decode: %v", arity, err)
+		}
+		if b.Arity != arity || b.N != 0 || len(b.Data) != 0 {
+			t.Fatalf("arity %d: decoded %d rows of arity %d, %d values", arity, b.N, b.Arity, len(b.Data))
+		}
+		into, n, err := DecodeInto(make([]int64, 0, 4), data)
+		if err != nil {
+			t.Fatalf("arity %d: decode into: %v", arity, err)
+		}
+		if n != len(data) || into.Arity != arity || into.N != 0 {
+			t.Fatalf("arity %d: DecodeInto gave %d rows of arity %d after %d of %d bytes", arity, into.N, into.Arity, n, len(data))
+		}
 	}
 }
 
@@ -89,29 +132,29 @@ func TestDictionaryCompresses(t *testing.T) {
 	}
 }
 
-// TestColumnVectors checks the zero-copy column view against the row view.
+// TestColumnVectors checks that every column decodes into its strided
+// positions of the row-major block.
 func TestColumnVectors(t *testing.T) {
 	rows := []rel.Tuple{{1, 10}, {2, 20}, {3, 30}}
 	b := roundTrip(t, rows)
-	if b.Cols() != 2 {
-		t.Fatalf("cols: got %d", b.Cols())
+	if b.Arity != 2 {
+		t.Fatalf("cols: got %d", b.Arity)
 	}
 	wantCol1 := []int64{10, 20, 30}
-	for i, v := range b.Col(1) {
-		if v != wantCol1[i] {
-			t.Fatalf("col 1: got %v", b.Col(1))
+	for i, want := range wantCol1 {
+		if got := b.Data[i*b.Arity+1]; got != want {
+			t.Fatalf("col 1 row %d: got %d, want %d", i, got, want)
 		}
 	}
 }
 
-// TestTupleArenaIsolation: appending to one materialized tuple must not
-// clobber its arena neighbor (capacity clamps).
+// TestTupleArenaIsolation: appending to one decoded row view must not
+// clobber its neighbor (capacity clamps).
 func TestTupleArenaIsolation(t *testing.T) {
 	b := roundTrip(t, []rel.Tuple{{1, 2}, {3, 4}})
-	ts := b.Tuples()
-	_ = append(ts[0], 99)
-	if ts[1][0] != 3 || ts[1][1] != 4 {
-		t.Fatalf("arena bleed: row 1 became %v", ts[1])
+	_ = append(b.Row(0), 99)
+	if got := b.Row(1); got[0] != 3 || got[1] != 4 {
+		t.Fatalf("arena bleed: row 1 became %v", got)
 	}
 }
 
@@ -133,7 +176,7 @@ func TestEncoderReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, n, err := DecodeNext(data)
+	b1, n, err := DecodeInto(nil, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +184,10 @@ func TestEncoderReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.Rows() != 2 || b2.Rows() != 1 || b2.Cols() != 3 {
-		t.Fatalf("stream decode: %d/%d rows, %d cols", b1.Rows(), b2.Rows(), b2.Cols())
+	if b1.N != 2 || b2.N != 1 || b2.Arity != 3 {
+		t.Fatalf("stream decode: %d/%d rows, %d cols", b1.N, b2.N, b2.Arity)
 	}
-	if got := b2.Tuples()[0]; !got.Equal(rel.Tuple{9, 8, 7}) {
+	if got := b2.Row(0); !got.Equal(rel.Tuple{9, 8, 7}) {
 		t.Fatalf("second batch decoded to %v", got)
 	}
 }
@@ -251,7 +294,14 @@ func int64Bytes(v []int64) []byte {
 
 func TestStatsMove(t *testing.T) {
 	before := ReadStats()
-	roundTrip(t, []rel.Tuple{{1, 1}, {1, 1}, {1, 2}})
+	var e Encoder
+	data, err := e.AppendTuples(nil, []rel.Tuple{{1, 1}, {1, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(data); err != nil {
+		t.Fatal(err)
+	}
 	after := ReadStats()
 	if after.BatchesEncoded <= before.BatchesEncoded || after.BatchesDecoded <= before.BatchesDecoded {
 		t.Fatalf("batch counters did not move: %+v -> %+v", before, after)
@@ -279,9 +329,9 @@ func BenchmarkEncodeTuples(b *testing.B) {
 	b.SetBytes(8 * 1024 * 3)
 }
 
-// BenchmarkDecodeTuples measures decode ns/tuple — the receiver-side cost
-// the EXPERIMENTS.md study reports.
-func BenchmarkDecodeTuples(b *testing.B) {
+// BenchmarkDecodeInto measures decode ns/tuple into one reused array — the
+// exchange receiver's cost.
+func BenchmarkDecodeInto(b *testing.B) {
 	rows := make([]rel.Tuple, 1024)
 	for i := range rows {
 		rows[i] = rel.Tuple{int64(i), int64(i % 16), 123456}
@@ -293,14 +343,16 @@ func BenchmarkDecodeTuples(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var buf []int64
 	for i := 0; i < b.N; i++ {
-		batch, err := Decode(data)
+		batch, _, err := DecodeInto(buf, data)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ts := batch.Tuples(); len(ts) != 1024 {
+		if batch.N != 1024 {
 			b.Fatal("short decode")
 		}
+		buf = batch.Data
 	}
 	b.SetBytes(8 * 1024 * 3)
 }

@@ -36,12 +36,13 @@
 //
 // # Reading
 //
-// Decode validates the magic, version, checksum, and size limits before
-// allocating, then materializes the payload into per-column int64 vectors
-// backed by a single arena allocation. A receiver can scan columns in place
-// (Batch.Col) or materialize rows (Batch.Tuples/Rows) without a per-tuple
-// allocation: row headers slice the shared arena with capacity clamps, so
-// handing them to an owner that never mutates its inputs is safe.
+// DecodeInto validates the magic, version, checksum, and size limits
+// before writing a value, then decodes the payload row-major into a flat
+// rel.Rows block, reusing the caller's array when it is large enough. An
+// exchange receiver that decodes every batch into one reused array
+// therefore allocates nothing per batch; Decode is the allocating form.
+// Encoder.AppendFlat encodes such a block, producing the same bytes as
+// AppendTuples does for the same rows.
 //
 // Batches are capped at MaxRows rows; Append/Decode of larger payloads is
 // an error. Larger row sets travel as a stream of concatenated batches

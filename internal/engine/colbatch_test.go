@@ -2,61 +2,11 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"parajoin/internal/rel"
 )
-
-// loopbackClusterOpts is loopbackCluster with explicit transport options.
-func loopbackClusterOpts(t *testing.T, n int, opts TCPOptions) *Cluster {
-	t.Helper()
-	addrs := make([]string, n)
-	hosted := make([]int, n)
-	for i := range addrs {
-		addrs[i] = "127.0.0.1:0"
-		hosted[i] = i
-	}
-	tr, err := NewTCPTransportOpts(addrs, hosted, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewClusterWithTransport(n, tr)
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// TestTCPColumnarMatchesLegacy runs the same shuffle over columnar frames
-// (the default) and legacy row-form frames: the bags must be identical and
-// the columnar run must put strictly fewer bytes on the wire.
-func TestTCPColumnarMatchesLegacy(t *testing.T) {
-	r := randGraph("R", 1500, 80, 46)
-	plan := shuffleGather("R", []string{"dst"})
-
-	run := func(c *Cluster) (*rel.Relation, int64) {
-		t.Helper()
-		c.Load(r)
-		got, _, err := c.Run(context.Background(), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := c.Transport().(TransportMeter).TransportStats()
-		if stats.BytesSent != stats.BytesReceived {
-			t.Fatalf("byte totals disagree: sent=%d received=%d", stats.BytesSent, stats.BytesReceived)
-		}
-		return got, stats.BytesSent
-	}
-
-	colGot, colBytes := run(loopbackCluster(t, 3))
-	legGot, legBytes := run(loopbackClusterOpts(t, 3, TCPOptions{LegacyTuples: true}))
-
-	if !colGot.Equal(legGot) {
-		t.Fatalf("columnar and legacy shuffles diverged: %d vs %d tuples",
-			colGot.Cardinality(), legGot.Cardinality())
-	}
-	if colBytes >= legBytes {
-		t.Fatalf("columnar frames not smaller: %d vs legacy %d bytes", colBytes, legBytes)
-	}
-}
 
 // TestTCPColumnarByteParityAfterResend extends the byte-parity invariant
 // through the reconnect/resend path: a connection kill between two columnar
@@ -78,7 +28,7 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 	trA.SetPeerAddrs(trB.Addrs())
 
 	ctx := context.Background()
-	if err := trA.Send(ctx, 0, 0, 1, []rel.Tuple{{1, 10}, {1, 11}, {2, 10}}); err != nil {
+	if err := trA.Send(ctx, 0, 0, 1, rel.FlatRows(2, []rel.Tuple{{1, 10}, {1, 11}, {2, 10}})); err != nil {
 		t.Fatalf("send before kill: %v", err)
 	}
 	waitUntil(t, func() bool { return trB.QueueCount() >= 1 }, "first frame delivery")
@@ -86,7 +36,7 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 	trA.KillConnections()
 	trB.KillConnections()
 
-	if err := trA.Send(ctx, 0, 0, 1, []rel.Tuple{{3, 10}, {3, 11}}); err != nil {
+	if err := trA.Send(ctx, 0, 0, 1, rel.FlatRows(2, []rel.Tuple{{3, 10}, {3, 11}})); err != nil {
 		t.Fatalf("send after kill: %v", err)
 	}
 	if err := trA.CloseSend(ctx, 0, 0); err != nil {
@@ -105,7 +55,8 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, b...)
+		b.Data = slices.Clone(b.Data)
+		got = b.AppendTuples(got)
 	}
 	if len(got) != 5 {
 		t.Fatalf("drained %d tuples, want exactly 5: %v", len(got), got)
@@ -121,7 +72,7 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 		if !ok {
 			break
 		}
-		if len(b) != 0 {
+		if b.N != 0 {
 			t.Fatalf("worker 0 received unexpected tuples: %v", b)
 		}
 	}
@@ -143,55 +94,6 @@ func TestTCPColumnarByteParityAfterResend(t *testing.T) {
 	}
 	if got, want := sa.BytesReceived+sb.BytesReceived, sa.BytesSent+sb.BytesSent; got != want {
 		t.Fatalf("byte parity broken after resend: received=%d sent=%d (A %+v, B %+v)", got, want, sa, sb)
-	}
-}
-
-// TestTCPLegacyPeerInterop sends legacy row-form frames into a
-// default-columnar transport: receive always accepts both forms, so a
-// mixed-version cluster keeps working.
-func TestTCPLegacyPeerInterop(t *testing.T) {
-	trOld, err := NewTCPTransportOpts([]string{"127.0.0.1:0", "127.0.0.1:0"}, []int{0}, TCPOptions{LegacyTuples: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trOld.Close()
-	trNew, err := NewTCPTransport(trOld.Addrs(), []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer trNew.Close()
-	trOld.SetPeerAddrs(trNew.Addrs())
-	trNew.SetPeerAddrs(trOld.Addrs())
-
-	ctx := context.Background()
-	want := []rel.Tuple{{7, 8}, {9, 10}}
-	if err := trOld.Send(ctx, 0, 0, 1, want); err != nil {
-		t.Fatalf("legacy send: %v", err)
-	}
-	if err := trOld.CloseSend(ctx, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := trNew.CloseSend(ctx, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	var got []rel.Tuple
-	for {
-		b, ok, err := trNew.Recv(ctx, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, b...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d tuples, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("tuple %d = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -74,9 +74,9 @@ type stallTransport struct {
 	Transport
 }
 
-func (t *stallTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tuple, bool, error) {
+func (t *stallTransport) Recv(ctx context.Context, exchangeID, dst int) (rel.Rows, bool, error) {
 	<-ctx.Done()
-	return nil, false, ctx.Err()
+	return rel.Rows{}, false, ctx.Err()
 }
 
 func TestCloseDuringRun(t *testing.T) {

@@ -27,9 +27,9 @@ func (o *countOp) schema() rel.Schema { return rel.Schema{"count"} }
 func (o *countOp) open() error        { return o.in.open() }
 func (o *countOp) close() error       { return o.in.close() }
 
-func (o *countOp) next() ([]rel.Tuple, error) {
+func (o *countOp) next() (rel.Rows, error) {
 	if o.done {
-		return nil, io.EOF
+		return rel.Rows{}, io.EOF
 	}
 	for {
 		b, err := o.in.next()
@@ -37,12 +37,12 @@ func (o *countOp) next() ([]rel.Tuple, error) {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return rel.Rows{}, err
 		}
-		o.n += int64(len(b))
+		o.n += int64(b.N)
 	}
 	o.done = true
-	return []rel.Tuple{{o.n}}, nil
+	return rel.Rows{Arity: 1, N: 1, Data: []int64{o.n}}, nil
 }
 
 // compileCount is called from exec.compile.

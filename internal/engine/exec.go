@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -201,7 +202,7 @@ func (e *exec) compileNode(n Node, t *task) (operator, error) {
 			return nil, err
 		}
 		sch := in.schema()
-		op := &selectOp{in: in, sch: sch}
+		op := &selectOp{t: t, in: in, sch: sch}
 		for _, f := range v.Filters {
 			cf := compiledFilter{op: f.Op, right: -1, c: f.Const}
 			if cf.left = sch.IndexOf(f.Left); cf.left < 0 {
@@ -333,13 +334,13 @@ func noDuplicateColumns(s rel.Schema) error {
 func (e *exec) runExchange(spec *ExchangeSpec, w int) (retErr error) {
 	t := &task{ex: e, worker: w, exchange: spec.ID}
 	start := time.Now()
-	var sent int64
+	sh := &shuffle{e: e, spec: spec, src: w}
 	defer func() {
 		e.metrics.addBusy(w, time.Since(start)-t.wait)
 		if e.tracer.Enabled() {
 			e.tracer.Emit(trace.Event{
 				Kind: trace.KindSend, Run: e.epoch, Worker: w, Exchange: spec.ID,
-				Name: spec.Name, Tuples: sent, Dur: time.Since(start),
+				Name: spec.Name, Tuples: sh.sent, Dur: time.Since(start),
 			})
 		}
 	}()
@@ -363,54 +364,89 @@ func (e *exec) runExchange(spec *ExchangeSpec, w int) (retErr error) {
 	}
 	defer in.close()
 
-	route, err := e.router(spec, in.schema(), &sent)
+	sh.outs = make([]rel.Rows, e.cluster.Workers())
+	defer sh.release()
+	route, err := e.router(spec, in.schema(), sh)
 	if err != nil {
 		return err
 	}
 	for {
 		b, err := in.next()
 		if err == io.EOF {
-			// A nil batch asks the router to flush its buffers.
-			return route(w, nil)
+			return sh.flushAll()
 		}
 		if err != nil {
 			return err
 		}
-		if err := route(w, b); err != nil {
+		if err := route(b); err != nil {
 			return err
 		}
 	}
 }
 
-// router returns the routing function for an exchange. It buffers per
-// destination and flushes batches through the transport, counting every
-// tuple sent (sent accumulates the post-replication total for the producer's
-// trace span).
-func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src int, b []rel.Tuple) error, error) {
-	n := e.cluster.Workers()
-	outs := make([][]rel.Tuple, n)
-	flush := func(src, dst int, force bool) error {
-		if len(outs[dst]) == 0 || (!force && len(outs[dst]) < e.batchSize) {
-			return nil
-		}
-		batch := outs[dst]
-		outs[dst] = nil
-		*sent += int64(len(batch))
-		e.metrics.addSent(spec.ID, spec.Name, src, int64(len(batch)))
-		return e.transport.Send(e.ctx, e.wireID(spec.ID), src, dst, batch)
+// shuffle is one producer's side of an exchange: a flat row buffer per
+// destination worker, sent through the transport whenever it holds a full
+// batch and reused afterwards (Send does not retain its batch). sent
+// accumulates the post-replication tuple total for the producer's trace
+// span.
+type shuffle struct {
+	e    *exec
+	spec *ExchangeSpec
+	src  int
+	sent int64
+	outs []rel.Rows
+}
+
+// add copies row t into dst's buffer, sending the buffer once it is full.
+func (s *shuffle) add(dst int, t []int64) error {
+	o := &s.outs[dst]
+	if o.Data == nil {
+		*o = getBatchBuf(len(t), s.e.batchSize)
 	}
-	flushAll := func(src int) error {
-		for dst := 0; dst < n; dst++ {
-			if err := flush(src, dst, true); err != nil {
-				return err
-			}
-		}
+	o.Append(t)
+	if o.N < s.e.batchSize {
 		return nil
 	}
+	return s.flush(dst)
+}
 
+// flush sends dst's buffered rows, if any.
+func (s *shuffle) flush(dst int) error {
+	o := &s.outs[dst]
+	if o.N == 0 {
+		return nil
+	}
+	s.sent += int64(o.N)
+	s.e.metrics.addSent(s.spec.ID, s.spec.Name, s.src, int64(o.N))
+	err := s.e.transport.Send(s.e.ctx, s.e.wireID(s.spec.ID), s.src, dst, *o)
+	o.Reset()
+	return err
+}
+
+// flushAll sends every destination's remaining rows, in worker order.
+func (s *shuffle) flushAll() error {
+	for dst := range s.outs {
+		if err := s.flush(dst); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// release returns the buffers to the pool.
+func (s *shuffle) release() {
+	for i := range s.outs {
+		putBatchBuf(&s.outs[i])
+	}
+}
+
+// router returns the routing function for an exchange: it hands every row
+// of a batch to the shuffle buffers of its destinations.
+func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sh *shuffle) (func(b rel.Rows) error, error) {
+	n := e.cluster.Workers()
 	switch spec.Kind {
 	case RouteSkewHash:
-		return e.skewRouter(spec, sch, flush, flushAll, outs)
+		return e.skewRouter(spec, sch, sh)
 
 	case RouteHash:
 		cols := make([]int, len(spec.HashCols))
@@ -419,32 +455,26 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 				return nil, fmt.Errorf("engine: exchange %d hash column %q not in %v", spec.ID, c, sch)
 			}
 		}
-		return func(src int, b []rel.Tuple) error {
-			for _, t := range b {
+		return func(b rel.Rows) error {
+			for i := 0; i < b.N; i++ {
+				t := b.Row(i)
 				dst := int(rel.HashTuple(spec.Seed, t, cols) % uint64(n))
-				outs[dst] = append(outs[dst], t)
-				if err := flush(src, dst, false); err != nil {
+				if err := sh.add(dst, t); err != nil {
 					return err
 				}
-			}
-			if b == nil {
-				return flushAll(src)
 			}
 			return nil
 		}, nil
 
 	case RouteBroadcast:
-		return func(src int, b []rel.Tuple) error {
-			for _, t := range b {
+		return func(b rel.Rows) error {
+			for i := 0; i < b.N; i++ {
+				t := b.Row(i)
 				for dst := 0; dst < n; dst++ {
-					outs[dst] = append(outs[dst], t)
-					if err := flush(src, dst, false); err != nil {
+					if err := sh.add(dst, t); err != nil {
 						return err
 					}
 				}
-			}
-			if b == nil {
-				return flushAll(src)
 			}
 			return nil
 		}, nil
@@ -460,8 +490,9 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 		}
 		var cells []int
 		seen := make([]bool, n)
-		return func(src int, b []rel.Tuple) error {
-			for _, t := range b {
+		return func(b rel.Rows) error {
+			for i := 0; i < b.N; i++ {
+				t := b.Row(i)
 				cells = router.Destinations(t, cells[:0])
 				for _, c := range cells {
 					dst := spec.CellMap[c]
@@ -469,17 +500,13 @@ func (e *exec) router(spec *ExchangeSpec, sch rel.Schema, sent *int64) (func(src
 						continue
 					}
 					seen[dst] = true
-					outs[dst] = append(outs[dst], t)
-					if err := flush(src, dst, false); err != nil {
+					if err := sh.add(dst, t); err != nil {
 						return err
 					}
 				}
 				for _, c := range cells {
 					seen[spec.CellMap[c]] = false
 				}
-			}
-			if b == nil {
-				return flushAll(src)
 			}
 			return nil
 		}, nil
@@ -677,6 +704,8 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	}
 	defer op.close()
 
+	// Results are the pipeline's tuple-slice output: each borrowed batch
+	// is copied once, flat, and its rows kept as views.
 	out := &rel.Relation{Name: "result", Schema: op.schema().Clone()}
 	if !e.spillEnabled() {
 		for {
@@ -687,8 +716,9 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.prog.AddTuples(int64(len(b)))
-			out.Tuples = append(out.Tuples, b...)
+			e.prog.AddTuples(int64(b.N))
+			b.Data = slices.Clone(b.Data)
+			out.Tuples = b.AppendTuples(out.Tuples)
 		}
 	}
 	// With spilling on, result (and StoreAs) materialization is charged to
@@ -696,6 +726,7 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 	// pressure; the final read-back is modeled as disk-backed state and is
 	// accounted against the disk cap, not the tuple budget.
 	buf := spill.NewBuffer(e.spillConfig(w, len(out.Schema), "result"))
+	var rows rowChunks
 	for {
 		b, err := op.next()
 		if err == io.EOF {
@@ -704,9 +735,9 @@ func (e *exec) runRoot(root Node, w int) (*rel.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.prog.AddTuples(int64(len(b)))
-		for _, t := range b {
-			if err := buf.Add(t); err != nil {
+		e.prog.AddTuples(int64(b.N))
+		for i := 0; i < b.N; i++ {
+			if err := buf.Add(rows.copy(b.Row(i))); err != nil {
 				return nil, e.spillErr(w, err)
 			}
 		}

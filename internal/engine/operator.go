@@ -19,12 +19,17 @@ import (
 // RS_TJ on Q4 and Q5 in the paper.
 var ErrOutOfMemory = errors.New("engine: worker memory budget exceeded")
 
-// operator is the runtime iterator all plan nodes compile to. Next returns
+// operator is the runtime iterator all plan nodes compile to. next returns
 // io.EOF after the last batch.
+//
+// A batch is a flat row block and is borrowed: it stays valid only until
+// the producer's next call to next or close, because producers write their
+// batches into reused per-operator buffers (or hand out views of state
+// they own). A consumer that keeps rows past that point copies them.
 type operator interface {
 	schema() rel.Schema
 	open() error
-	next() ([]rel.Tuple, error)
+	next() (rel.Rows, error)
 	close() error
 }
 
@@ -48,6 +53,7 @@ type scanOp struct {
 	sch   rel.Schema
 	rows  []rel.Tuple
 	pos   int
+	out   rel.Rows
 }
 
 func (o *scanOp) schema() rel.Schema { return o.sch }
@@ -58,32 +64,32 @@ func (o *scanOp) open() error {
 		return fmt.Errorf("engine: worker %d has no fragment of %q", o.t.worker, o.table)
 	}
 	o.rows = frag.Tuples
+	o.out = getBatchBuf(len(o.sch), min(o.t.ex.batchSize, len(o.rows)))
 	return nil
 }
 
-func (o *scanOp) next() ([]rel.Tuple, error) {
+// next copies the next batch of the fragment's tuples into the flat
+// buffer: base fragments are the one tuple-slice input of the pipeline.
+func (o *scanOp) next() (rel.Rows, error) {
 	if o.pos >= len(o.rows) {
-		return nil, io.EOF
+		return rel.Rows{}, io.EOF
 	}
-	end := o.pos + o.t.ex.batchSize
-	if end > len(o.rows) {
-		end = len(o.rows)
+	end := min(o.pos+o.t.ex.batchSize, len(o.rows))
+	o.out.Reset()
+	for _, t := range o.rows[o.pos:end] {
+		o.out.Append(t)
 	}
-	b := o.rows[o.pos:end]
 	o.pos = end
-	o.t.ex.metrics.addProcessed(o.t.worker, int64(len(b)))
-	return b, nil
+	o.t.ex.metrics.addProcessed(o.t.worker, int64(o.out.N))
+	return o.out, nil
 }
 
-func (o *scanOp) close() error { return nil }
+func (o *scanOp) close() error {
+	putBatchBuf(&o.out)
+	return nil
+}
 
 // ---------------------------------------------------------------- select
-
-type selectOp struct {
-	in      operator
-	sch     rel.Schema
-	filters []compiledFilter
-}
 
 type compiledFilter struct {
 	left  int
@@ -92,18 +98,35 @@ type compiledFilter struct {
 	c     int64
 }
 
-func (o *selectOp) schema() rel.Schema { return o.sch }
-func (o *selectOp) open() error        { return o.in.open() }
-func (o *selectOp) close() error       { return o.in.close() }
+type selectOp struct {
+	t       *task
+	in      operator
+	sch     rel.Schema
+	filters []compiledFilter
+	out     rel.Rows
+}
 
-func (o *selectOp) next() ([]rel.Tuple, error) {
+func (o *selectOp) schema() rel.Schema { return o.sch }
+
+func (o *selectOp) open() error {
+	o.out = getBatchBuf(len(o.sch), o.t.ex.batchSize)
+	return o.in.open()
+}
+
+func (o *selectOp) close() error {
+	putBatchBuf(&o.out)
+	return o.in.close()
+}
+
+func (o *selectOp) next() (rel.Rows, error) {
 	for {
 		b, err := o.in.next()
 		if err != nil {
-			return nil, err
+			return rel.Rows{}, err
 		}
-		out := b[:0:0]
-		for _, t := range b {
+		o.out.Reset()
+		for i := 0; i < b.N; i++ {
+			t := b.Row(i)
 			keep := true
 			for _, f := range o.filters {
 				right := f.c
@@ -116,11 +139,11 @@ func (o *selectOp) next() ([]rel.Tuple, error) {
 				}
 			}
 			if keep {
-				out = append(out, t)
+				o.out.Append(t)
 			}
 		}
-		if len(out) > 0 {
-			return out, nil
+		if o.out.N > 0 {
+			return o.out, nil
 		}
 	}
 }
@@ -134,7 +157,7 @@ type projectOp struct {
 	cols  []int
 	dedup bool
 	seen  *rowTable // projected rows emitted so far, when deduplicating
-	out   rowArena
+	out   rel.Rows
 }
 
 func (o *projectOp) schema() rel.Schema { return o.sch }
@@ -143,34 +166,39 @@ func (o *projectOp) open() error {
 	if o.dedup {
 		o.seen = newRowTable(len(o.cols), identityCols(len(o.cols)))
 	}
-	o.out.arity = len(o.cols)
+	o.out = getBatchBuf(len(o.cols), o.t.ex.batchSize)
 	return o.in.open()
 }
 
-func (o *projectOp) close() error { return o.in.close() }
+func (o *projectOp) close() error {
+	putBatchBuf(&o.out)
+	return o.in.close()
+}
 
-func (o *projectOp) next() ([]rel.Tuple, error) {
+func (o *projectOp) next() (rel.Rows, error) {
 	for {
 		b, err := o.in.next()
 		if err != nil {
-			return nil, err
+			return rel.Rows{}, err
 		}
-		for i, t := range b {
+		o.out.Reset()
+		for i := 0; i < b.N; i++ {
+			t := b.Row(i)
 			if o.dedup {
 				if !o.seen.addNew(t, o.cols) {
 					continue
 				}
 				if err := o.t.ex.charge(o.t.worker, 1, "project-dedup"); err != nil {
-					return nil, err
+					return rel.Rows{}, err
 				}
 			}
-			p := o.out.alloc(len(b) - i)
-			for j, c := range o.cols {
-				p[j] = t[c]
+			for _, c := range o.cols {
+				o.out.Data = append(o.out.Data, t[c])
 			}
+			o.out.N++
 		}
-		if out := o.out.take(); len(out) > 0 {
-			return out, nil
+		if o.out.N > 0 {
+			return o.out, nil
 		}
 	}
 }
@@ -195,13 +223,15 @@ type hashJoinOp struct {
 	rKeep        []int
 
 	lTable, rTable *rowTable
-	out            rowArena
+	out            rel.Rows
 
-	cur      []rel.Tuple // input batch being joined
-	curSide  int         // side cur came from: 0 = left, 1 = right
-	pos      int         // row of cur being joined
-	inserted bool        // cur[pos] is in its table and link is set
-	link     int32       // next matching row of the other table, or -1
+	// cur is the input batch being joined. It is borrowed from its input,
+	// which is not pulled again until cur is done.
+	cur      rel.Rows
+	curSide  int   // side cur came from: 0 = left, 1 = right
+	pos      int   // row of cur being joined
+	inserted bool  // row pos of cur is in its table and link is set
+	link     int32 // next matching row of the other table, or -1
 
 	turn         int // 0 = pull left next, 1 = right
 	lDone, rDone bool
@@ -212,7 +242,7 @@ func (o *hashJoinOp) schema() rel.Schema { return o.sch }
 func (o *hashJoinOp) open() error {
 	o.lTable = newRowTable(len(o.left.schema()), o.lCols)
 	o.rTable = newRowTable(len(o.right.schema()), o.rCols)
-	o.out.arity = len(o.sch)
+	o.out = getBatchBuf(len(o.sch), o.t.ex.batchSize)
 	if err := o.left.open(); err != nil {
 		return err
 	}
@@ -220,6 +250,7 @@ func (o *hashJoinOp) open() error {
 }
 
 func (o *hashJoinOp) close() error {
+	putBatchBuf(&o.out)
 	err1 := o.left.close()
 	err2 := o.right.close()
 	if err1 != nil {
@@ -228,22 +259,23 @@ func (o *hashJoinOp) close() error {
 	return err2
 }
 
-func (o *hashJoinOp) next() ([]rel.Tuple, error) {
+func (o *hashJoinOp) next() (rel.Rows, error) {
 	bs := o.t.ex.batchSize
+	o.out.Reset()
 	for {
-		if o.pos < len(o.cur) {
+		if o.pos < o.cur.N {
 			t0 := time.Now()
 			full := o.probe(bs)
 			o.t.ex.metrics.addJoin(o.t.worker, time.Since(t0))
 			if full {
-				return o.out.take(), nil
+				return o.out, nil
 			}
 		}
 		if o.lDone && o.rDone {
-			if out := o.out.take(); len(out) > 0 {
-				return out, nil
+			if o.out.N > 0 {
+				return o.out, nil
 			}
-			return nil, io.EOF
+			return rel.Rows{}, io.EOF
 		}
 		side := o.turn
 		if side == 0 && o.lDone {
@@ -268,10 +300,10 @@ func (o *hashJoinOp) next() ([]rel.Tuple, error) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return rel.Rows{}, err
 		}
-		if err := o.t.ex.charge(o.t.worker, int64(len(b)), "hashjoin"); err != nil {
-			return nil, err
+		if err := o.t.ex.charge(o.t.worker, int64(b.N), "hashjoin"); err != nil {
+			return rel.Rows{}, err
 		}
 		o.cur, o.curSide, o.pos, o.inserted = b, side, 0, false
 	}
@@ -285,8 +317,8 @@ func (o *hashJoinOp) probe(bs int) bool {
 	if o.curSide == 1 {
 		own, other, cols = o.rTable, o.lTable, o.rCols
 	}
-	for ; o.pos < len(o.cur); o.pos, o.inserted = o.pos+1, false {
-		t := o.cur[o.pos]
+	for ; o.pos < o.cur.N; o.pos, o.inserted = o.pos+1, false {
+		t := o.cur.Row(o.pos)
 		if !o.inserted {
 			k := own.keyOf(t, cols)
 			own.add(k, t, nil)
@@ -294,7 +326,7 @@ func (o *hashJoinOp) probe(bs int) bool {
 			o.inserted = true
 		}
 		for ; o.link >= 0; o.link = other.after(o.link, t, cols) {
-			if len(o.out.rows) == bs {
+			if o.out.N == bs {
 				return true
 			}
 			m := other.row(o.link)
@@ -305,16 +337,16 @@ func (o *hashJoinOp) probe(bs int) bool {
 			}
 		}
 	}
-	o.cur = nil
-	return len(o.out.rows) == bs
+	o.cur = rel.Rows{}
+	return o.out.N == bs
 }
 
 func (o *hashJoinOp) emit(left, right []int64) {
-	row := o.out.alloc(o.t.ex.batchSize)
-	n := copy(row, left)
-	for j, c := range o.rKeep {
-		row[n+j] = right[c]
+	o.out.Data = append(o.out.Data, left...)
+	for _, c := range o.rKeep {
+		o.out.Data = append(o.out.Data, right[c])
 	}
+	o.out.N++
 }
 
 // ---------------------------------------------------------------- tributary
@@ -333,14 +365,16 @@ type tributaryOp struct {
 	sch    rel.Schema
 
 	// In-memory path: the result rows, appended flat to one arena per
-	// (sub-)join in range order, and handed out as row views. part and
-	// row locate the next row; left counts the rows not yet handed out.
-	results []ljoin.Rows
+	// (sub-)join in range order, and handed out as sub-slices of those
+	// arenas. part and row locate the next row; left counts the rows not
+	// yet handed out.
+	results []rel.Rows
 	part    int
 	row     int
 	left    int
-	// Spilled path.
+	// Spilled path: the result stream, copied out a batch at a time.
 	stream spill.Stream
+	out    rel.Rows
 }
 
 func (o *tributaryOp) schema() rel.Schema { return o.sch }
@@ -349,12 +383,23 @@ func (o *tributaryOp) open() error {
 	if o.t.ex.spillEnabled() {
 		return o.openSpilled()
 	}
-	rels := make(map[string]*rel.Relation, len(o.inputs))
+	// Each input batch is normalized straight into its atom's flat array;
+	// PrepareFlat then sorts the arrays in place.
+	atoms := o.atoms()
+	rels := make(map[string]rel.Rows, len(o.inputs))
+	var inputTuples int64
 	for alias, in := range o.inputs {
+		atom, err := o.inputAtom(atoms, alias, in)
+		if err != nil {
+			return err
+		}
 		if err := in.open(); err != nil {
 			return err
 		}
-		r := &rel.Relation{Name: alias, Schema: in.schema().Clone()}
+		// Batches are normalized into pooled buffers and then copied
+		// once into an array of the exact final size.
+		norm := ljoin.NewNormalizer(atom, o.order)
+		var parts []rel.Rows
 		for {
 			b, err := in.next()
 			if err == io.EOF {
@@ -363,23 +408,22 @@ func (o *tributaryOp) open() error {
 			if err != nil {
 				return err
 			}
-			if err := o.t.ex.charge(o.t.worker, int64(len(b)), "tributary-input("+alias+")"); err != nil {
+			if err := o.t.ex.charge(o.t.worker, int64(b.N), "tributary-input("+alias+")"); err != nil {
 				return err
 			}
-			r.Tuples = append(r.Tuples, b...)
+			inputTuples += int64(b.N)
+			part := getBatchBuf(norm.Arity(), b.N)
+			norm.AppendRows(&part, b)
+			parts = append(parts, part)
 		}
 		if err := in.close(); err != nil {
 			return err
 		}
-		rels[alias] = r
+		rels[alias] = concatRows(norm.Arity(), parts)
 	}
 
-	var inputTuples int64
-	for _, r := range rels {
-		inputTuples += int64(r.Cardinality())
-	}
 	sortStart := time.Now()
-	p, err := ljoin.Prepare(o.q, rels, o.order, o.mode)
+	p, err := ljoin.PrepareFlat(o.q, rels, o.order, o.mode, false)
 	if err != nil {
 		return err
 	}
@@ -395,7 +439,7 @@ func (o *tributaryOp) open() error {
 		runErr = o.joinParallel(shards)
 		seeks = shardSeeks(shards)
 	} else {
-		o.results = make([]ljoin.Rows, 1)
+		o.results = make([]rel.Rows, 1)
 		runErr = o.collect(p, &o.results[0])
 		seeks = p.Stats().Seeks
 	}
@@ -418,7 +462,7 @@ func (o *tributaryOp) open() error {
 // collect runs one in-memory (sub-)join, appending its rows to res. Rows
 // are charged to the worker's tuple budget one by one, as a row-per-tuple
 // result would be.
-func (o *tributaryOp) collect(p *ljoin.Prepared, res *ljoin.Rows) error {
+func (o *tributaryOp) collect(p *ljoin.Prepared, res *rel.Rows) error {
 	e := o.t.ex
 	res.Arity = len(o.sch)
 	return p.Run(func(t rel.Tuple) bool {
@@ -443,10 +487,7 @@ func (o *tributaryOp) collect(p *ljoin.Prepared, res *ljoin.Rows) error {
 // run exactly.
 func (o *tributaryOp) openSpilled() error {
 	e := o.t.ex
-	atoms := make(map[string]core.Atom, len(o.q.Atoms))
-	for _, a := range o.q.Atoms {
-		atoms[a.Alias] = a
-	}
+	atoms := o.atoms()
 	aliases := make([]string, 0, len(o.inputs))
 	for alias := range o.inputs {
 		aliases = append(aliases, alias)
@@ -455,23 +496,18 @@ func (o *tributaryOp) openSpilled() error {
 
 	var inputTuples int64
 	sortStart := time.Now()
-	rels := make(map[string]ljoin.Rows, len(o.inputs))
+	rels := make(map[string]rel.Rows, len(o.inputs))
 	for _, alias := range aliases {
 		in := o.inputs[alias]
-		atom, ok := atoms[alias]
-		if !ok {
-			return fmt.Errorf("engine: tributary input %q matches no atom of %s", alias, o.q.Name)
+		atom, err := o.inputAtom(atoms, alias, in)
+		if err != nil {
+			return err
 		}
 		if err := in.open(); err != nil {
 			return err
 		}
-		sch := in.schema()
-		if len(sch) != len(atom.Terms) {
-			return fmt.Errorf("engine: atom %s has %d terms but input %s has arity %d",
-				atom, len(atom.Terms), alias, len(sch))
-		}
 		norm := ljoin.NewNormalizer(atom, o.order)
-		r := ljoin.Rows{Arity: norm.Arity()}
+		r := rel.Rows{Arity: norm.Arity()}
 		if norm.Arity() == 0 {
 			// Fully-constant atom: only existence matters, nothing is
 			// materialized.
@@ -484,9 +520,9 @@ func (o *tributaryOp) openSpilled() error {
 				if err != nil {
 					return err
 				}
-				inputTuples += int64(len(b))
-				for _, t := range b {
-					if _, ok := norm.Apply(t); ok {
+				inputTuples += int64(b.N)
+				for i := 0; i < b.N; i++ {
+					if _, ok := norm.Apply(b.Row(i)); ok {
 						exists = true
 					}
 				}
@@ -504,9 +540,9 @@ func (o *tributaryOp) openSpilled() error {
 				if err != nil {
 					return err
 				}
-				inputTuples += int64(len(b))
-				for _, t := range b {
-					nt, ok := norm.Apply(t)
+				inputTuples += int64(b.N)
+				for i := 0; i < b.N; i++ {
+					nt, ok := norm.Apply(b.Row(i))
 					if !ok {
 						continue
 					}
@@ -534,7 +570,7 @@ func (o *tributaryOp) openSpilled() error {
 		rels[alias] = r
 	}
 
-	p, err := ljoin.PrepareSorted(o.q, rels, o.order, o.mode)
+	p, err := ljoin.PrepareFlat(o.q, rels, o.order, o.mode, true)
 	if err != nil {
 		return err
 	}
@@ -608,38 +644,63 @@ func (o *tributaryOp) emitPhase(name string, d time.Duration, tuples int64) {
 	})
 }
 
-func (o *tributaryOp) next() ([]rel.Tuple, error) {
+// atoms maps the query's atom aliases to their atoms.
+func (o *tributaryOp) atoms() map[string]core.Atom {
+	atoms := make(map[string]core.Atom, len(o.q.Atoms))
+	for _, a := range o.q.Atoms {
+		atoms[a.Alias] = a
+	}
+	return atoms
+}
+
+// inputAtom returns the atom an input feeds, checking the input's arity
+// against the atom's terms.
+func (o *tributaryOp) inputAtom(atoms map[string]core.Atom, alias string, in operator) (core.Atom, error) {
+	atom, ok := atoms[alias]
+	if !ok {
+		return core.Atom{}, fmt.Errorf("engine: tributary input %q matches no atom of %s", alias, o.q.Name)
+	}
+	if n := len(in.schema()); n != len(atom.Terms) {
+		return core.Atom{}, fmt.Errorf("engine: atom %s has %d terms but input %s has arity %d",
+			atom, len(atom.Terms), alias, n)
+	}
+	return atom, nil
+}
+
+func (o *tributaryOp) next() (rel.Rows, error) {
+	bs := o.t.ex.batchSize
 	if o.stream != nil {
-		b := make([]rel.Tuple, 0, o.t.ex.batchSize)
-		for len(b) < o.t.ex.batchSize {
+		if o.out.Data == nil {
+			o.out = getBatchBuf(len(o.sch), bs)
+		}
+		o.out.Reset()
+		for o.out.N < bs {
 			t, err := o.stream.Next()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				return nil, err
+				return rel.Rows{}, err
 			}
-			b = append(b, t)
+			o.out.Append(t)
 		}
-		if len(b) == 0 {
-			return nil, io.EOF
+		if o.out.N == 0 {
+			return rel.Rows{}, io.EOF
 		}
-		return b, nil
+		return o.out, nil
 	}
 	if o.left == 0 {
-		return nil, io.EOF
+		return rel.Rows{}, io.EOF
 	}
-	b := make([]rel.Tuple, 0, min(o.t.ex.batchSize, o.left))
-	for len(b) < cap(b) {
-		res := &o.results[o.part]
-		if o.row == res.N {
-			o.part, o.row = o.part+1, 0
-			continue
-		}
-		b = append(b, res.Row(o.row))
-		o.row++
+	res := &o.results[o.part]
+	for o.row == res.N {
+		o.part, o.row = o.part+1, 0
+		res = &o.results[o.part]
 	}
-	o.left -= len(b)
+	n := min(bs, res.N-o.row)
+	b := res.Slice(o.row, o.row+n)
+	o.row += n
+	o.left -= n
 	return b, nil
 }
 
@@ -662,6 +723,7 @@ func (c *rowChunks) copy(t rel.Tuple) rel.Tuple {
 }
 
 func (o *tributaryOp) close() error {
+	putBatchBuf(&o.out)
 	if o.stream != nil {
 		return o.stream.Close()
 	}
@@ -680,17 +742,19 @@ func (o *recvOp) schema() rel.Schema { return o.sch }
 func (o *recvOp) open() error        { return nil }
 func (o *recvOp) close() error       { return nil }
 
-func (o *recvOp) next() ([]rel.Tuple, error) {
+// next returns the transport's batch as is: Recv's borrow (valid until
+// the next Recv on this exchange and worker) is the operator contract.
+func (o *recvOp) next() (rel.Rows, error) {
 	start := time.Now()
 	b, ok, err := o.t.ex.transport.Recv(o.t.ex.ctx, o.t.ex.wireID(o.exchange), o.t.worker)
 	o.t.wait += time.Since(start)
 	if err != nil {
-		return nil, err
+		return rel.Rows{}, err
 	}
 	if !ok {
-		return nil, io.EOF
+		return rel.Rows{}, io.EOF
 	}
-	o.t.ex.metrics.addReceived(o.exchange, o.t.worker, int64(len(b)))
-	o.t.ex.metrics.addProcessed(o.t.worker, int64(len(b)))
+	o.t.ex.metrics.addReceived(o.exchange, o.t.worker, int64(b.N))
+	o.t.ex.metrics.addProcessed(o.t.worker, int64(b.N))
 	return b, nil
 }

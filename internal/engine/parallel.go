@@ -109,7 +109,7 @@ func (o *tributaryOp) runPool(n int, task func(i int) (int64, error)) error {
 // lock-free accountant, so charging and context polling match the serial
 // emit exactly.
 func (o *tributaryOp) joinParallel(shards []*ljoin.Prepared) error {
-	o.results = make([]ljoin.Rows, len(shards))
+	o.results = make([]rel.Rows, len(shards))
 	return o.runPool(len(shards), func(i int) (int64, error) {
 		err := o.collect(shards[i], &o.results[i])
 		return int64(o.results[i].N), err

@@ -120,33 +120,3 @@ func (h *rowTable) row(i int32) []int64 {
 	off := int(i) * h.arity
 	return h.data[off : off+h.arity]
 }
-
-// rowArena hands out the rows of one output batch as views into a single
-// flat allocation, so a batch costs two allocations however many rows it
-// carries. Each batch gets fresh storage: consumers may keep its rows.
-type rowArena struct {
-	arity int
-	data  []int64
-	rows  []rel.Tuple
-}
-
-// alloc returns the next row of the current batch for the caller to fill
-// in, starting a batch with room for n rows if none is open.
-func (a *rowArena) alloc(n int) rel.Tuple {
-	if a.rows == nil {
-		a.data = make([]int64, 0, n*a.arity)
-		a.rows = make([]rel.Tuple, 0, n)
-	}
-	off := len(a.data)
-	a.data = a.data[:off+a.arity]
-	t := rel.Tuple(a.data[off : off+a.arity : off+a.arity])
-	a.rows = append(a.rows, t)
-	return t
-}
-
-// take returns the current batch's rows and closes it.
-func (a *rowArena) take() []rel.Tuple {
-	b := a.rows
-	a.data, a.rows = nil, nil
-	return b
-}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"parajoin/internal/rel"
@@ -16,22 +17,31 @@ import (
 // set) before handing out the first one.
 type batchesOp struct {
 	sch     rel.Schema
-	batches [][]rel.Tuple
+	batches []rel.Rows
 	i       int
 	first   func()
+}
+
+// flatBatches lays each batch out flat, with the given arity.
+func flatBatches(arity int, bs [][]rel.Tuple) []rel.Rows {
+	out := make([]rel.Rows, len(bs))
+	for i, b := range bs {
+		out[i] = rel.FlatRows(arity, b)
+	}
+	return out
 }
 
 func (o *batchesOp) schema() rel.Schema { return o.sch }
 func (o *batchesOp) open() error        { return nil }
 func (o *batchesOp) close() error       { return nil }
 
-func (o *batchesOp) next() ([]rel.Tuple, error) {
+func (o *batchesOp) next() (rel.Rows, error) {
 	if o.first != nil {
 		o.first()
 		o.first = nil
 	}
 	if o.i == len(o.batches) {
-		return nil, io.EOF
+		return rel.Rows{}, io.EOF
 	}
 	b := o.batches[o.i]
 	o.i++
@@ -57,7 +67,8 @@ func colNames(prefix string, n int) rel.Schema {
 	return s
 }
 
-// drain pulls op to EOF and returns its batches.
+// drain pulls op to EOF and returns copies of its batches (a batch is
+// only valid until the next call).
 func drain(t *testing.T, op operator) [][]rel.Tuple {
 	t.Helper()
 	var out [][]rel.Tuple
@@ -69,7 +80,24 @@ func drain(t *testing.T, op operator) [][]rel.Tuple {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, b)
+		b.Data = slices.Clone(b.Data)
+		out = append(out, b.AppendTuples(nil))
+	}
+}
+
+// drainCount pulls op to EOF and returns its batch count, copying nothing.
+func drainCount(t *testing.T, op operator) int {
+	t.Helper()
+	n := 0
+	for {
+		_, err := op.next()
+		if err == io.EOF {
+			return n
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
 	}
 }
 
@@ -211,8 +239,8 @@ func TestHashJoinMatchesMapReference(t *testing.T) {
 			bs := 1 + rng.Intn(8)
 			op := &hashJoinOp{
 				t:     opTask(bs),
-				left:  &batchesOp{sch: colNames("l", lArity), batches: left},
-				right: &batchesOp{sch: colNames("r", rArity), batches: right},
+				left:  &batchesOp{sch: colNames("l", lArity), batches: flatBatches(lArity, left)},
+				right: &batchesOp{sch: colNames("r", rArity), batches: flatBatches(rArity, right)},
 				lCols: lCols, rCols: rCols, rKeep: rKeep,
 				sch: make(rel.Schema, lArity+len(rKeep)),
 			}
@@ -274,10 +302,11 @@ func TestSemiJoinMatchesMapReference(t *testing.T) {
 		}
 
 		for _, forced := range []bool{false, true} {
-			rightOp := &batchesOp{sch: colNames("r", rArity), batches: right}
+			rightOp := &batchesOp{sch: colNames("r", rArity), batches: flatBatches(rArity, right)}
 			op := &semiJoinOp{
 				t:     opTask(1024),
-				left:  &batchesOp{sch: colNames("l", lArity), batches: left},
+				sch:   colNames("l", lArity),
+				left:  &batchesOp{sch: colNames("l", lArity), batches: flatBatches(lArity, left)},
 				right: rightOp,
 				lCols: lCols, rCols: rCols,
 			}
@@ -334,7 +363,7 @@ func TestDedupProjectMatchesMapReference(t *testing.T) {
 		for _, forced := range []bool{false, true} {
 			op := &projectOp{
 				t:   opTask(1024),
-				in:  &batchesOp{sch: colNames("c", arity), batches: in},
+				in:  &batchesOp{sch: colNames("c", arity), batches: flatBatches(arity, in)},
 				sch: colNames("p", len(cols)), cols: cols, dedup: true,
 			}
 			if err := op.open(); err != nil {
@@ -369,8 +398,8 @@ func hotKeyJoin(bs, nLeft int, right [][]rel.Tuple) *hashJoinOp {
 	}
 	return &hashJoinOp{
 		t:     opTask(bs),
-		left:  &batchesOp{sch: rel.Schema{"k", "a"}, batches: [][]rel.Tuple{left}},
-		right: &batchesOp{sch: rel.Schema{"k", "b"}, batches: right},
+		left:  &batchesOp{sch: rel.Schema{"k", "a"}, batches: flatBatches(2, [][]rel.Tuple{left})},
+		right: &batchesOp{sch: rel.Schema{"k", "b"}, batches: flatBatches(2, right)},
 		lCols: []int{0}, rCols: []int{0}, rKeep: []int{1},
 		sch: rel.Schema{"k", "a", "b"},
 	}
@@ -410,10 +439,10 @@ func TestHashJoinHotKeyBatchBound(t *testing.T) {
 	}
 	rows := 0
 	for {
-		if len(b) > bs {
-			t.Fatalf("batch of %d rows exceeds BatchSize %d", len(b), bs)
+		if b.N > bs {
+			t.Fatalf("batch of %d rows exceeds BatchSize %d", b.N, bs)
 		}
-		rows += len(b)
+		rows += b.N
 		if b, err = op.next(); err == io.EOF {
 			break
 		}
@@ -444,7 +473,7 @@ func TestHashJoinAllocsPerBatch(t *testing.T) {
 			if err := op.open(); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(drain(t, op)); got != batches {
+			if got := drainCount(t, op); got != batches {
 				t.Fatalf("%d output batches, want %d", got, batches)
 			}
 		})

@@ -25,6 +25,7 @@ type semiJoinOp struct {
 	rCols       []int
 	sch         rel.Schema
 	keys        *rowTable // the distinct right keys
+	out         rel.Rows
 }
 
 func (o *semiJoinOp) schema() rel.Schema { return o.sch }
@@ -42,8 +43,8 @@ func (o *semiJoinOp) open() error {
 		if err != nil {
 			return err
 		}
-		for _, t := range b {
-			if o.keys.addNew(t, o.rCols) {
+		for i := 0; i < b.N; i++ {
+			if o.keys.addNew(b.Row(i), o.rCols) {
 				if err := o.t.ex.charge(o.t.worker, 1, "semijoin"); err != nil {
 					return err
 				}
@@ -53,28 +54,33 @@ func (o *semiJoinOp) open() error {
 	if err := o.right.close(); err != nil {
 		return err
 	}
+	o.out = getBatchBuf(len(o.sch), o.t.ex.batchSize)
 	return o.left.open()
 }
 
-func (o *semiJoinOp) next() ([]rel.Tuple, error) {
+func (o *semiJoinOp) next() (rel.Rows, error) {
 	for {
 		b, err := o.left.next()
 		if err != nil {
-			return nil, err
+			return rel.Rows{}, err
 		}
-		out := b[:0:0]
-		for _, t := range b {
+		o.out.Reset()
+		for i := 0; i < b.N; i++ {
+			t := b.Row(i)
 			if o.keys.first(o.keys.keyOf(t, o.lCols), t, o.lCols) >= 0 {
-				out = append(out, t)
+				o.out.Append(t)
 			}
 		}
-		if len(out) > 0 {
-			return out, nil
+		if o.out.N > 0 {
+			return o.out, nil
 		}
 	}
 }
 
-func (o *semiJoinOp) close() error { return o.left.close() }
+func (o *semiJoinOp) close() error {
+	putBatchBuf(&o.out)
+	return o.left.close()
+}
 
 // compileSemiJoin is called from exec.compile.
 func (e *exec) compileSemiJoin(v SemiJoin, t *task) (operator, error) {

@@ -42,10 +42,7 @@ type SkewSpec struct {
 }
 
 // skewRouter builds the routing function for a RouteSkewHash exchange.
-func (e *exec) skewRouter(spec *ExchangeSpec, sch rel.Schema,
-	flush func(src, dst int, force bool) error, flushAll func(src int) error,
-	outs [][]rel.Tuple) (func(src int, b []rel.Tuple) error, error) {
-
+func (e *exec) skewRouter(spec *ExchangeSpec, sch rel.Schema, sh *shuffle) (func(b rel.Rows) error, error) {
 	if spec.Skew == nil {
 		return nil, fmt.Errorf("engine: exchange %d has RouteSkewHash but no SkewSpec", spec.ID)
 	}
@@ -64,21 +61,20 @@ func (e *exec) skewRouter(spec *ExchangeSpec, sch rel.Schema,
 	rr := 0
 	mode := spec.Skew.Mode
 
-	return func(src int, b []rel.Tuple) error {
-		for _, t := range b {
+	return func(b rel.Rows) error {
+		for i := 0; i < b.N; i++ {
+			t := b.Row(i)
 			if heavy[t[col]] {
 				switch mode {
 				case SkewSplit:
 					dst := rr % n
 					rr++
-					outs[dst] = append(outs[dst], t)
-					if err := flush(src, dst, false); err != nil {
+					if err := sh.add(dst, t); err != nil {
 						return err
 					}
 				case SkewBroadcast:
 					for dst := 0; dst < n; dst++ {
-						outs[dst] = append(outs[dst], t)
-						if err := flush(src, dst, false); err != nil {
+						if err := sh.add(dst, t); err != nil {
 							return err
 						}
 					}
@@ -86,13 +82,9 @@ func (e *exec) skewRouter(spec *ExchangeSpec, sch rel.Schema,
 				continue
 			}
 			dst := int(rel.Hash64(spec.Seed, t[col]) % uint64(n))
-			outs[dst] = append(outs[dst], t)
-			if err := flush(src, dst, false); err != nil {
+			if err := sh.add(dst, t); err != nil {
 				return err
 			}
-		}
-		if b == nil {
-			return flushAll(src)
 		}
 		return nil
 	}, nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -180,7 +181,7 @@ func TestChaosTCPResendNoDuplicates(t *testing.T) {
 	trA.SetPeerAddrs(trB.Addrs())
 
 	ctx := context.Background()
-	if err := trA.Send(ctx, 0, 0, 1, []rel.Tuple{{1, 1}}); err != nil {
+	if err := trA.Send(ctx, 0, 0, 1, rel.Rows{Arity: 2, N: 1, Data: []int64{1, 1}}); err != nil {
 		t.Fatalf("send before kill: %v", err)
 	}
 	// Make sure the first frame landed so the kill cleanly separates the
@@ -191,7 +192,7 @@ func TestChaosTCPResendNoDuplicates(t *testing.T) {
 	trA.KillConnections()
 	trB.KillConnections()
 
-	if err := trA.Send(ctx, 0, 0, 1, []rel.Tuple{{2, 2}}); err != nil {
+	if err := trA.Send(ctx, 0, 0, 1, rel.Rows{Arity: 2, N: 1, Data: []int64{2, 2}}); err != nil {
 		t.Fatalf("send after kill: %v", err)
 	}
 	if err := trA.CloseSend(ctx, 0, 0); err != nil {
@@ -210,7 +211,8 @@ func TestChaosTCPResendNoDuplicates(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, b...)
+		b.Data = slices.Clone(b.Data)
+		got = b.AppendTuples(got)
 	}
 	if len(got) != 2 {
 		t.Fatalf("drained %d tuples, want exactly 2 (resends must dedup): %v", len(got), got)
@@ -255,7 +257,7 @@ func TestTCPCloseDuringDialDoesNotLeak(t *testing.T) {
 
 	sendErr := make(chan error, 1)
 	go func() {
-		sendErr <- trA.Send(context.Background(), 0, 0, 1, []rel.Tuple{{1}})
+		sendErr <- trA.Send(context.Background(), 0, 0, 1, rel.Rows{Arity: 1, N: 1, Data: []int64{1}})
 	}()
 	<-dialDone // the socket to B exists but is not yet registered
 

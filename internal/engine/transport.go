@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,20 +38,24 @@ func Retryable(err error) bool {
 	return errors.Is(err, ErrTransport)
 }
 
-// Transport moves tuple batches between workers. Implementations must allow
-// concurrent use from all workers. Queues are unbounded: a producer never
-// blocks on a slow consumer, which (together with pull-based consumers)
-// rules out exchange deadlocks by construction.
+// Transport moves flat row batches between workers. Implementations must
+// allow concurrent use from all workers. Queues are unbounded: a producer
+// never blocks on a slow consumer, which (together with pull-based
+// consumers) rules out exchange deadlocks by construction.
 type Transport interface {
 	// Send delivers a batch from worker src to worker dst on the given
-	// exchange. The callee owns the batch after the call.
-	Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error
+	// exchange. The transport does not retain the batch: it copies or
+	// encodes it before returning, so the caller may reuse its storage.
+	Send(ctx context.Context, exchangeID, src, dst int, batch rel.Rows) error
 	// CloseSend signals that src will send nothing more on the exchange.
 	// Every worker must call it exactly once per exchange it produces for.
 	CloseSend(ctx context.Context, exchangeID, src int) error
 	// Recv returns the next batch destined to dst on the exchange. ok is
 	// false once every producer has closed and all batches were delivered.
-	Recv(ctx context.Context, exchangeID, dst int) (batch []rel.Tuple, ok bool, err error)
+	// Each (exchange, dst) pair has a single receiver, and the batch is
+	// borrowed: it is valid until that receiver's next Recv on the pair,
+	// so a caller that keeps rows past that point copies them.
+	Recv(ctx context.Context, exchangeID, dst int) (batch rel.Rows, ok bool, err error)
 	// Close releases transport resources.
 	Close() error
 }
@@ -154,31 +159,38 @@ func (c *transportCounters) TransportStats() TransportStats {
 }
 
 // batchWireBytes is the wire-equivalent size of a batch: 8 bytes per value.
-func batchWireBytes(batch []rel.Tuple) int64 {
-	var n int64
-	for _, t := range batch {
-		n += 8 * int64(len(t))
-	}
-	return n
+func batchWireBytes(batch rel.Rows) int64 {
+	return 8 * int64(len(batch.Data))
 }
 
-// encoders pools colbatch encoders for the columnar send paths (MemTransport
+// batchEncoder is a colbatch encoder with its reused output buffer.
+type batchEncoder struct {
+	enc colbatch.Encoder
+	buf []byte
+}
+
+// encoders pools batch encoders for the columnar send paths (MemTransport
 // and TCPTransport share it) so per-batch scratch state is reused.
-var encoders = sync.Pool{New: func() any { return new(colbatch.Encoder) }}
+var encoders = sync.Pool{New: func() any { return new(batchEncoder) }}
 
-// encodeBatch encodes one tuple batch as a standalone colbatch frame.
-func encodeBatch(batch []rel.Tuple) ([]byte, error) {
-	e := encoders.Get().(*colbatch.Encoder)
-	data, err := e.AppendTuples(nil, batch)
-	encoders.Put(e)
-	return data, err
+// encodeBatch encodes one batch as a standalone colbatch frame. The frame
+// is built in the pooled buffer and copied out at its exact size, so a
+// batch costs one allocation.
+func encodeBatch(batch rel.Rows) ([]byte, error) {
+	e := encoders.Get().(*batchEncoder)
+	defer encoders.Put(e)
+	var err error
+	if e.buf, err = e.enc.AppendFlat(e.buf[:0], batch); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), e.buf...), nil
 }
 
-// wireBatch is a queued exchange batch: tuple form on the legacy path,
+// wireBatch is a queued exchange batch: flat rows owned by the queue, or
 // encoded colbatch bytes on the columnar path (exactly one is set).
 type wireBatch struct {
-	tuples []rel.Tuple
-	enc    []byte
+	rows rel.Rows
+	enc  []byte
 }
 
 // memQueue is an unbounded FIFO of batches with producer accounting and an
@@ -189,6 +201,10 @@ type memQueue struct {
 	batches []wireBatch
 	open    int // producers that have not closed yet
 	ctr     *transportCounters
+
+	// dec is the queue's decode array, reused for every encoded batch;
+	// only the queue's single receiver touches it.
+	dec rel.Rows
 }
 
 func newMemQueue(producers int, ctr *transportCounters) *memQueue {
@@ -218,16 +234,19 @@ func (q *memQueue) closeOne() {
 
 // errRecvInterrupted is pop's wait-aborted error. It wraps
 // context.Canceled (so cancellation filters still match) but is distinct
-// from a bare context error: Recv replaces it with the context's actual
+// from a bare context error: recvErr replaces it with the context's actual
 // cancellation cause, which is what lets Report and the server's error
 // codes tell a client cancel from a transport failure or a Close.
 var errRecvInterrupted = fmt.Errorf("engine: recv interrupted: %w", context.Canceled)
 
-// pop blocks until a batch is available or all producers closed. The done
-// channel aborts the wait with errRecvInterrupted.
-func (q *memQueue) pop(done <-chan struct{}) (wireBatch, bool, error) {
+// pop blocks until a batch is available or all producers closed. The
+// context's end aborts the wait with its cancellation cause. A wake-up hook
+// on the context is registered only when pop actually has to wait, so
+// draining a queue that is already full costs no allocation.
+func (q *memQueue) pop(ctx context.Context) (wireBatch, bool, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	var stop func() bool
 	for {
 		if len(q.batches) > 0 {
 			b := q.batches[0]
@@ -241,9 +260,19 @@ func (q *memQueue) pop(done <-chan struct{}) (wireBatch, bool, error) {
 			return wireBatch{}, false, nil
 		}
 		select {
-		case <-done:
-			return wireBatch{}, false, errRecvInterrupted
+		case <-ctx.Done():
+			return wireBatch{}, false, recvErr(ctx, errRecvInterrupted)
 		default:
+		}
+		if stop == nil {
+			// Broadcasting under q.mu means the wake-up cannot slip in
+			// between the check above and Wait.
+			stop = context.AfterFunc(ctx, func() {
+				q.mu.Lock()
+				q.cond.Broadcast()
+				q.mu.Unlock()
+			})
+			defer stop()
 		}
 		q.cond.Wait()
 	}
@@ -268,7 +297,8 @@ type MemTransport struct {
 	// Columnar routes batches through the colbatch codec: Send encodes each
 	// batch to the exact frame TCPTransport would put on the wire and Recv
 	// decodes it back, so byte counters report encoded bytes and benchmarks
-	// pay the real codec cost. Set it before the first Send; it is read
+	// pay the real codec cost. Without it Send copies each batch flat and
+	// Recv hands that copy out. Set it before the first Send; it is read
 	// concurrently afterwards.
 	Columnar bool
 	transportCounters
@@ -303,7 +333,7 @@ func (t *MemTransport) queue(exchangeID, dst int) *memQueue {
 }
 
 // Send implements Transport.
-func (t *MemTransport) Send(ctx context.Context, exchangeID, src, dst int, batch []rel.Tuple) error {
+func (t *MemTransport) Send(ctx context.Context, exchangeID, src, dst int, batch rel.Rows) error {
 	if dst < 0 || dst >= t.workers {
 		return fmt.Errorf("engine: send to worker %d of %d", dst, t.workers)
 	}
@@ -320,7 +350,8 @@ func (t *MemTransport) Send(ctx context.Context, exchangeID, src, dst int, batch
 		return nil
 	}
 	t.countSent(1, batchWireBytes(batch))
-	t.queue(exchangeID, dst).push(wireBatch{tuples: batch})
+	batch.Data = slices.Clone(batch.Data)
+	t.queue(exchangeID, dst).push(wireBatch{rows: batch})
 	return nil
 }
 
@@ -333,28 +364,32 @@ func (t *MemTransport) CloseSend(ctx context.Context, exchangeID, src int) error
 }
 
 // Recv implements Transport.
-func (t *MemTransport) Recv(ctx context.Context, exchangeID, dst int) ([]rel.Tuple, bool, error) {
+func (t *MemTransport) Recv(ctx context.Context, exchangeID, dst int) (rel.Rows, bool, error) {
 	q := t.queue(exchangeID, dst)
-	// Wake waiters when the context dies.
-	stop := context.AfterFunc(ctx, func() { q.cond.Broadcast() })
-	defer stop()
-	b, ok, err := q.pop(ctx.Done())
+	b, ok, err := q.pop(ctx)
 	if err != nil {
-		return nil, false, recvErr(ctx, err)
+		return rel.Rows{}, false, err
 	}
 	if !ok {
-		return nil, false, nil
+		return rel.Rows{}, false, nil
 	}
 	if b.enc != nil {
-		batch, err := colbatch.Decode(b.enc)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: decode batch: %v", ErrTransport, err)
+		if q.dec.Data == nil {
+			q.dec = getBatchBuf(0, 0)
 		}
+		batch, n, err := colbatch.DecodeInto(q.dec.Data, b.enc)
+		if err == nil && n != len(b.enc) {
+			err = fmt.Errorf("%d trailing bytes after batch", len(b.enc)-n)
+		}
+		if err != nil {
+			return rel.Rows{}, false, fmt.Errorf("%w: decode batch: %v", ErrTransport, err)
+		}
+		q.dec.Data = batch.Data
 		t.countReceived(1, int64(len(b.enc)))
-		return batch.Tuples(), true, nil
+		return batch, true, nil
 	}
-	t.countReceived(1, batchWireBytes(b.tuples))
-	return b.tuples, true, nil
+	t.countReceived(1, batchWireBytes(b.rows))
+	return b.rows, true, nil
 }
 
 // ReleaseEpoch implements EpochReleaser: it frees the queues of a finished
@@ -374,6 +409,7 @@ func (t *MemTransport) ReleaseEpoch(epoch int64) {
 				}
 			}
 			q.batches = nil
+			putBatchBuf(&q.dec)
 			q.mu.Unlock()
 		}
 		delete(t.queues, id)

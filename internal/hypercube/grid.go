@@ -78,13 +78,16 @@ func (g *Grid) CoordsOf(cell int) []int {
 
 // Router routes the tuples of one atom: it knows which grid dimensions the
 // atom's variables bind (and at which tuple position), and enumerates the
-// free dimensions for replication.
+// free dimensions for replication. A Router keeps enumeration scratch, so
+// it is not safe for concurrent use: each producer builds its own.
 type Router struct {
 	grid *Grid
 	// boundPos[i] is the tuple position that fixes dimension i, or -1 when
 	// the atom does not contain the dimension's variable.
 	boundPos []int
 	freeDims []int
+	// idx is the odometer over freeDims that Destinations reuses.
+	idx []int
 	// Replication is the number of cells each tuple is sent to: the product
 	// of the free dimension sizes.
 	Replication int
@@ -105,6 +108,7 @@ func (g *Grid) RouterFor(atom core.Atom) *Router {
 			r.Replication *= g.Dims[i]
 		}
 	}
+	r.idx = make([]int, len(r.freeDims))
 	return r
 }
 
@@ -124,7 +128,8 @@ func (r *Router) Destinations(t rel.Tuple, dst []int) []int {
 		return append(dst, base)
 	}
 	// Odometer over the free dimensions.
-	idx := make([]int, len(r.freeDims))
+	idx := r.idx
+	clear(idx)
 	for {
 		cell := base
 		for j, d := range r.freeDims {

@@ -59,6 +59,36 @@ func TestRouterReplication(t *testing.T) {
 	}
 }
 
+// TestRouterDestinationsAllocFree: routing a tuple through a router with
+// free dimensions reuses the router's odometer and the caller's slice, so
+// the per-tuple hot path of the HyperCube shuffle allocates nothing.
+func TestRouterDestinationsAllocFree(t *testing.T) {
+	g := NewGrid(shares.Config{Vars: []core.Var{"x", "y", "z", "w"}, Dims: []int{2, 3, 2, 2}})
+	r := g.RouterFor(core.NewAtom("R", core.V("x"), core.V("y")))
+	if r.Replication != 4 {
+		t.Fatalf("replication = %d, want 4", r.Replication)
+	}
+	tu := rel.Tuple{10, 20}
+	cells := make([]int, 0, r.Replication)
+	allocs := testing.AllocsPerRun(100, func() {
+		cells = r.Destinations(tu, cells[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("Destinations allocated %.1f times per tuple, want 0", allocs)
+	}
+	// Reusing the odometer must not change the answer between calls.
+	first := append([]int(nil), r.Destinations(tu, nil)...)
+	if again := r.Destinations(tu, nil); len(again) != len(first) || len(first) != 4 {
+		t.Fatalf("destinations drifted: %v then %v", first, again)
+	} else {
+		for i := range first {
+			if first[i] != again[i] {
+				t.Fatalf("destinations drifted: %v then %v", first, again)
+			}
+		}
+	}
+}
+
 func TestRouterFullyBoundSingleDestination(t *testing.T) {
 	g := grid444()
 	atom := core.NewAtom("U", core.V("x"), core.V("y"), core.V("z"))

@@ -191,7 +191,7 @@ type btreeTrie struct {
 // newBTreeTrie indexes the relation's rows (already normalized to the
 // variable order) into a B-tree and returns the iterator. The tree holds
 // row views into rows.Data.
-func newBTreeTrie(rows Rows) *btreeTrie {
+func newBTreeTrie(rows rel.Rows) *btreeTrie {
 	t := newBTree(rows.Arity)
 	for i := 0; i < rows.N; i++ {
 		t.insert(rows.Row(i))

@@ -82,8 +82,8 @@ func randomJoin(rng *rand.Rand) (*core.Query, map[string]*rel.Relation) {
 
 // spillSorted normalizes every atom's relation through a spill.Sorter
 // that seals a run every few tuples, then drains the merged stream into a
-// flat array — the engine's bounded-memory path into PrepareSorted.
-func spillSorted(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var) map[string]Rows {
+// flat array — the engine's bounded-memory path into PrepareFlat.
+func spillSorted(t *testing.T, q *core.Query, rels map[string]*rel.Relation, order []core.Var) map[string]rel.Rows {
 	t.Helper()
 	dir, err := spill.NewDir(t.TempDir())
 	if err != nil {
@@ -91,10 +91,10 @@ func spillSorted(t *testing.T, q *core.Query, rels map[string]*rel.Relation, ord
 	}
 	t.Cleanup(func() { dir.Remove() })
 	acct := spill.NewAccountant(1, 0, 0)
-	out := make(map[string]Rows, len(q.Atoms))
+	out := make(map[string]rel.Rows, len(q.Atoms))
 	for _, a := range q.Atoms {
 		norm := NewNormalizer(a, order)
-		r := Rows{Arity: norm.Arity()}
+		r := rel.Rows{Arity: norm.Arity()}
 		if norm.Arity() == 0 {
 			for _, tp := range rels[a.Alias].Tuples {
 				if _, ok := norm.Apply(tp); ok {
@@ -171,7 +171,7 @@ func runShardsConcurrently(t *testing.T, p *Prepared, k int) ([]rel.Tuple, bool)
 }
 
 // TestBackendsMatchNaiveOnRandomQueries checks every SeekMode and the
-// spilled PrepareSorted path against NaiveEvaluate on random queries,
+// spilled PrepareFlat path against NaiveEvaluate on random queries,
 // under random variable orders, and checks that running Shards(k)
 // concurrently reproduces each serial row sequence exactly.
 func TestBackendsMatchNaiveOnRandomQueries(t *testing.T) {
@@ -197,7 +197,7 @@ func TestBackendsMatchNaiveOnRandomQueries(t *testing.T) {
 		}
 		sorted := spillSorted(t, q, rels, order)
 		variants = append(variants, variant{"spilled", func() (*Prepared, error) {
-			return PrepareSorted(q, sorted, order, SeekBinary)
+			return PrepareFlat(q, sorted, order, SeekBinary, true)
 		}})
 
 		for _, v := range variants {

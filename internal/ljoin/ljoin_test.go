@@ -304,12 +304,8 @@ func TestNormalizeAtom(t *testing.T) {
 }
 
 // flatRows lays a relation's tuples out as one strided array.
-func flatRows(r *rel.Relation) Rows {
-	out := Rows{Arity: r.Arity(), N: r.Cardinality()}
-	for _, t := range r.Tuples {
-		out.Data = append(out.Data, t...)
-	}
-	return out
+func flatRows(r *rel.Relation) rel.Rows {
+	return rel.FlatRows(r.Arity(), r.Tuples)
 }
 
 // Property test: Tributary join agrees with the naive oracle on random

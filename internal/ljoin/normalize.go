@@ -99,7 +99,7 @@ func (n *Normalizer) Apply(t rel.Tuple) (rel.Tuple, bool) {
 // Flatten normalizes tuples straight into one arity-strided array,
 // allocated once at its final size: when the atom has constraints, a first
 // pass counts the rows that satisfy them.
-func (n *Normalizer) Flatten(tuples []rel.Tuple) Rows {
+func (n *Normalizer) Flatten(tuples []rel.Tuple) rel.Rows {
 	rows := len(tuples)
 	if len(n.checks) > 0 {
 		rows = 0
@@ -118,7 +118,22 @@ func (n *Normalizer) Flatten(tuples []rel.Tuple) Rows {
 			data = append(data, t[s])
 		}
 	}
-	return Rows{Data: data, Arity: len(n.srcs), N: rows}
+	return rel.Rows{Data: data, Arity: len(n.srcs), N: rows}
+}
+
+// AppendRows normalizes the rows of b, which are in the atom's term
+// layout, onto the end of dst. dst's arity must be n.Arity().
+func (n *Normalizer) AppendRows(dst *rel.Rows, b rel.Rows) {
+	for i := 0; i < b.N; i++ {
+		t := b.Data[i*b.Arity : (i+1)*b.Arity]
+		if len(n.checks) > 0 && !n.keep(t) {
+			continue
+		}
+		for _, s := range n.srcs {
+			dst.Data = append(dst.Data, t[s])
+		}
+		dst.N++
+	}
 }
 
 // NormalizeAtom turns an atom's relation into the form Tributary join
@@ -126,23 +141,6 @@ func (n *Normalizer) Flatten(tuples []rel.Tuple) Rows {
 // equalities are dropped, and the remaining rows are laid out flat with the
 // atom's distinct variables as columns, ordered by the global variable
 // order (NewNormalizer(atom, order).Schema() names them).
-func NormalizeAtom(atom core.Atom, r *rel.Relation, order []core.Var) Rows {
+func NormalizeAtom(atom core.Atom, r *rel.Relation, order []core.Var) rel.Rows {
 	return NewNormalizer(atom, order).Flatten(r.Tuples)
-}
-
-// Rows is a relation in the layout Tributary join runs on: one
-// arity-strided, row-major array, row i occupying
-// Data[i*Arity:(i+1)*Arity]. N counts the rows, which the data length
-// cannot do for arity 0 — a fully-constant atom, whose only information is
-// whether any row matched.
-type Rows struct {
-	Data  []int64
-	Arity int
-	N     int
-}
-
-// Row returns row i as a tuple view into Data. Its capacity ends with the
-// row, so appending to it cannot overwrite the next one.
-func (r Rows) Row(i int) rel.Tuple {
-	return rel.Tuple(r.Data[i*r.Arity : (i+1)*r.Arity : (i+1)*r.Arity])
 }

@@ -73,40 +73,43 @@ type preparedAtom struct {
 // relations maps atom aliases to relations whose columns follow the atom's
 // term layout.
 func Prepare(q *core.Query, relations map[string]*rel.Relation, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (Rows, bool, error) {
+	return prepare(q, order, mode, func(atom core.Atom) (rel.Rows, bool, error) {
 		r := relations[atom.Alias]
 		if r == nil {
-			return Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+			return rel.Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
 		if len(r.Schema) != len(atom.Terms) {
-			return Rows{}, false, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
+			return rel.Rows{}, false, fmt.Errorf("ljoin: atom %s has %d terms but relation %s has arity %d",
 				atom, len(atom.Terms), r.Name, len(r.Schema))
 		}
 		return NormalizeAtom(atom, r, order), false, nil
 	})
 }
 
-// PrepareSorted is Prepare for inputs that are already normalized (each
-// relation's columns are its atom's distinct variables in global-order
-// position), sorted and flat. The spilled execution path uses it: tuples
-// are normalized with a Normalizer before the external sort, and the
-// merged stream is drained straight into each atom's array, so by the time
-// they reach the trie builder all three steps are done. The join reads
-// the arrays in place; they must not change while it runs.
-func PrepareSorted(q *core.Query, relations map[string]Rows, order []core.Var, mode SeekMode) (*Prepared, error) {
-	return prepare(q, order, mode, func(atom core.Atom) (Rows, bool, error) {
+// PrepareFlat is Prepare for inputs that are already normalized and flat:
+// each relation's columns are its atom's distinct variables in
+// global-order position (a Normalizer's output). If sorted is false the
+// arrays are sorted in place (the B-tree backend indexes them instead), so
+// the caller hands them over; the in-memory execution path normalizes each
+// input batch straight into its atom's array and passes false. If sorted
+// is true the arrays are already in order: the spilled path normalizes
+// before the external sort and drains the merged stream into each array.
+// Either way the join reads the arrays in place; they must not change
+// while it runs.
+func PrepareFlat(q *core.Query, relations map[string]rel.Rows, order []core.Var, mode SeekMode, sorted bool) (*Prepared, error) {
+	return prepare(q, order, mode, func(atom core.Atom) (rel.Rows, bool, error) {
 		r, ok := relations[atom.Alias]
 		if !ok {
-			return Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
+			return rel.Rows{}, false, fmt.Errorf("ljoin: no relation bound to atom %q", atom.Alias)
 		}
-		return r, true, nil
+		return r, sorted, nil
 	})
 }
 
 // prepare builds a Prepared join, pulling each atom's rows from supply,
 // which also reports whether they are already sorted. Supplied rows must
 // be normalized (NormalizeAtom's output form).
-func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.Atom) (Rows, bool, error)) (*Prepared, error) {
+func prepare(q *core.Query, order []core.Var, mode SeekMode, supply func(core.Atom) (rel.Rows, bool, error)) (*Prepared, error) {
 	if err := checkOrder(q, order); err != nil {
 		return nil, err
 	}
@@ -319,7 +322,7 @@ func Evaluate(q *core.Query, relations map[string]*rel.Relation, order []core.Va
 	for i, h := range head {
 		schema[i] = string(h)
 	}
-	res := Rows{Arity: len(head)}
+	res := rel.Rows{Arity: len(head)}
 	err = p.Run(func(t rel.Tuple) bool {
 		res.Data = append(res.Data, t...)
 		res.N++

@@ -28,11 +28,16 @@ import (
 
 // Estimator computes the cost of variable orders for one query over one set
 // of relations. Prefix-distinct statistics are cached per atom and per
-// variable set, so evaluating many candidate orders is cheap.
+// variable set, so evaluating many candidate orders is cheap. An Estimator
+// reuses scratch across calls and is not safe for concurrent use.
 type Estimator struct {
 	q     *core.Query
 	vars  []core.Var
 	atoms []*atomStats
+	// cols and proj are the column list and projection scratch every
+	// uncached prefix count reuses.
+	cols []int
+	proj []int64
 }
 
 type atomStats struct {
@@ -40,7 +45,7 @@ type atomStats struct {
 	// norm is the atom's normalized relation, flat: constants applied,
 	// columns = the atom's distinct variables in canonical
 	// (first-appearance) order.
-	norm ljoin.Rows
+	norm rel.Rows
 	// colOf maps a variable to its column in norm.
 	colOf map[core.Var]int
 	// cache maps a bitmask over the query's variables to V(norm, set).
@@ -91,7 +96,7 @@ func (a *atomStats) prefixCount(e *Estimator, mask uint64) float64 {
 	if v, ok := a.cache[mask]; ok {
 		return v
 	}
-	var cols []int
+	cols := e.cols[:0]
 	for i, ev := range e.vars {
 		if mask&(1<<uint(i)) != 0 {
 			if c, ok := a.colOf[ev]; ok {
@@ -99,8 +104,11 @@ func (a *atomStats) prefixCount(e *Estimator, mask uint64) float64 {
 			}
 		}
 	}
+	e.cols = cols
 	// Cost asks only about atoms with variables, so the arity is positive.
-	v := float64(stats.DistinctRows(a.norm.Data, a.norm.Arity, cols))
+	n, proj := stats.DistinctRows(a.norm.Data, a.norm.Arity, cols, e.proj)
+	e.proj = proj
+	v := float64(n)
 	a.cache[mask] = v
 	return v
 }

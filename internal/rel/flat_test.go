@@ -40,6 +40,21 @@ func checkSortFlat(t *testing.T, data []int64, w int) {
 // insertion-sort cutoff, and value mixes with negatives, the int64
 // extremes, heavy duplication and wide ranges (so every byte position
 // varies somewhere).
+// TestRowsViewsAreClamped: appending to a Row or Slice view must not
+// overwrite the rows that follow it in the shared array.
+func TestRowsViewsAreClamped(t *testing.T) {
+	r := Rows{Arity: 2, N: 3, Data: []int64{1, 2, 3, 4, 5, 6}}
+	_ = append(r.Row(0), 99)
+	v := r.Slice(0, 2)
+	v.Append([]int64{-1, -1})
+	if !slices.Equal(r.Data, []int64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("view append overwrote the shared array: %v", r.Data)
+	}
+	if v.N != 3 || !slices.Equal(v.Data, []int64{1, 2, 3, 4, -1, -1}) {
+		t.Fatalf("appended view: %d rows %v", v.N, v.Data)
+	}
+}
+
 func TestSortFlatMatchesSortFunc(t *testing.T) {
 	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
 	gens := []struct {

@@ -49,10 +49,8 @@ type SegmentWriter struct {
 	bytes  int64 // encoded batch bytes written so far
 
 	enc     colbatch.Encoder
-	vals    []int64   // pending rows, flat
-	rows    [][]int64 // slices into vals, rebuilt per flush
-	pending int       // rows buffered in vals
-	scratch []byte    // encode buffer, reused across flushes
+	pending rel.Rows // rows buffered for the next batch
+	scratch []byte   // encode buffer, reused across flushes
 }
 
 // NewSegmentWriter wraps f (fresh and empty, normally from Dir.Create)
@@ -62,6 +60,7 @@ func NewSegmentWriter(f *os.File, arity int) (*SegmentWriter, error) {
 		return nil, fmt.Errorf("spill: segment arity must be positive, got %d", arity)
 	}
 	w := &SegmentWriter{f: f, bw: bufio.NewWriterSize(f, segBufSize), arity: arity}
+	w.pending.Arity = arity
 	var hdr [segHeaderSize]byte
 	copy(hdr[:], segMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(arity))
@@ -77,9 +76,8 @@ func (w *SegmentWriter) Write(t rel.Tuple) error {
 	if len(t) != w.arity {
 		return fmt.Errorf("spill: writing arity-%d tuple to arity-%d segment", len(t), w.arity)
 	}
-	w.vals = append(w.vals, t...)
-	w.pending++
-	if w.pending >= segChunkRows {
+	w.pending.Append(t)
+	if w.pending.N >= segChunkRows {
 		return w.flush()
 	}
 	return nil
@@ -87,14 +85,10 @@ func (w *SegmentWriter) Write(t rel.Tuple) error {
 
 // flush encodes the pending rows as one colbatch batch and writes it.
 func (w *SegmentWriter) flush() error {
-	if w.pending == 0 {
+	if w.pending.N == 0 {
 		return nil
 	}
-	w.rows = w.rows[:0]
-	for i := 0; i < w.pending; i++ {
-		w.rows = append(w.rows, w.vals[i*w.arity:(i+1)*w.arity])
-	}
-	data, err := w.enc.AppendRows(w.scratch[:0], w.rows)
+	data, err := w.enc.AppendFlat(w.scratch[:0], w.pending)
 	if err != nil {
 		return fmt.Errorf("spill: encoding segment batch: %w", err)
 	}
@@ -102,10 +96,9 @@ func (w *SegmentWriter) flush() error {
 	if _, err := w.bw.Write(data); err != nil {
 		return err
 	}
-	w.tuples += int64(w.pending)
+	w.tuples += int64(w.pending.N)
 	w.bytes += int64(len(data))
-	w.vals = w.vals[:0]
-	w.pending = 0
+	w.pending.Reset()
 	return nil
 }
 
@@ -140,7 +133,7 @@ type SegmentReader struct {
 	br    *bufio.Reader
 	arity int
 
-	cur     []rel.Tuple // materialized rows of the current batch
+	cur     rel.Rows // the current batch, decoded flat
 	pos     int
 	scratch []byte // batch read buffer, reused
 }
@@ -197,30 +190,32 @@ func (r *SegmentReader) loadBatch() error {
 		return fmt.Errorf("spill: reading segment %s: %w", r.f.Name(), err)
 	}
 	r.scratch = hdr
+	// Each batch decodes into fresh storage: callers may keep the row
+	// views Next hands out (Drain does).
 	b, err := colbatch.Decode(hdr)
 	if err != nil {
 		return fmt.Errorf("spill: decoding segment %s: %w", r.f.Name(), err)
 	}
-	if b.Rows() > 0 && b.Cols() != r.arity {
-		return fmt.Errorf("spill: segment %s: batch arity %d, expected %d", r.f.Name(), b.Cols(), r.arity)
+	if b.N > 0 && b.Arity != r.arity {
+		return fmt.Errorf("spill: segment %s: batch arity %d, expected %d", r.f.Name(), b.Arity, r.arity)
 	}
 	counters.bytesRead.Add(int64(total))
-	r.cur = b.Tuples()
+	r.cur = b
 	r.pos = 0
 	return nil
 }
 
 // Next returns the next tuple, or io.EOF after the last one. Returned
-// tuples share a per-batch arena with capacity clamps: appending to one
-// allocates instead of clobbering its neighbor, but callers must not write
-// through existing indexes.
+// tuples are row views into a per-batch flat array with capacity clamps:
+// appending to one allocates instead of clobbering its neighbor, but
+// callers must not write through existing indexes.
 func (r *SegmentReader) Next() (rel.Tuple, error) {
-	for r.pos >= len(r.cur) {
+	for r.pos >= r.cur.N {
 		if err := r.loadBatch(); err != nil {
 			return nil, err
 		}
 	}
-	t := r.cur[r.pos]
+	t := r.cur.Row(r.pos)
 	r.pos++
 	return t, nil
 }

@@ -31,21 +31,23 @@ func DistinctTuples(r *rel.Relation, cols []int) int {
 }
 
 // DistinctRows is DistinctTuples for a relation stored as a width-w
-// strided array (row i is data[i*w:(i+1)*w]); w must be positive.
-func DistinctRows(data []int64, w int, cols []int) int {
+// strided array (row i is data[i*w:(i+1)*w]); w must be positive. The
+// projection is built in scratch's storage, grown when it is too small;
+// the storage is returned for the caller's next call.
+func DistinctRows(data []int64, w int, cols []int, scratch []int64) (int, []int64) {
 	if len(cols) == 0 {
 		if len(data) == 0 {
-			return 0
+			return 0, scratch
 		}
-		return 1
+		return 1, scratch
 	}
-	proj := make([]int64, 0, len(data)/w*len(cols))
+	proj := scratch[:0]
 	for i := 0; i < len(data); i += w {
 		for _, c := range cols {
 			proj = append(proj, data[i+c])
 		}
 	}
-	return countDistinct(proj, len(cols))[len(cols)-1]
+	return countDistinct(proj, len(cols))[len(cols)-1], proj
 }
 
 // PrefixDistinct returns, for every prefix length k = 1..len(cols), the

@@ -213,20 +213,16 @@ func WithSeed(seed int64) Option {
 }
 
 // WithColumnarExchange toggles the dictionary-encoded columnar batch
-// encoding (internal/colbatch) on the exchange transport. TCP clusters use
-// it by default — pass false to restore the legacy row-form gob frames for
-// byte-level A/B comparison. In-memory clusters pass batches by reference
-// by default; passing true routes them through the same encode/decode path
-// the TCP transport uses, so byte counters report encoded wire bytes —
-// that is how the benchmark suite measures exchange volume. Query results
-// are identical either way.
+// encoding (internal/colbatch) on the in-memory exchange transport, which
+// by default copies each batch flat and meters 8 bytes per value. Passing
+// true routes batches through the encode/decode path the TCP transport
+// always uses, so byte counters report encoded wire bytes — that is how the
+// benchmark suite measures exchange volume. TCP clusters ignore the option.
+// Query results are identical either way.
 func WithColumnarExchange(on bool) Option {
 	return func(db *DB) {
-		switch tr := db.cluster.Transport().(type) {
-		case *engine.MemTransport:
+		if tr, ok := db.cluster.Transport().(*engine.MemTransport); ok {
 			tr.Columnar = on
-		case *engine.TCPTransport:
-			tr.SetLegacyTuples(!on)
 		}
 	}
 }
